@@ -14,18 +14,20 @@ function core to keep normal forms aligned.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional
 
 from . import meaning, reduction
 from .meaning import Budgets, MeaningVerdict, MEANINGFUL, UNKNOWN
-from .reduction import ReduceOutcome
+from .reduction import CBN, CBV, ReduceOutcome, is_value
 from .syntax import (Abs, App, AppArg, AppFun, AbsBody, Bang, BangInner, Ctx,
                      Der, DerInner, FULL, Idx, Sub, SubArg, SubBody, Term,
-                     TESTING, Var, alpha_eq, free_vars, lam, peel_subs,
-                     plug, print_term, rebuild_subs, shift_free, subst_bound)
-
-CBN, CBV = "cbn", "cbv"
+                     TESTING, Var, alpha_eq, fresh_name, free_vars, lam,
+                     open_var, peel_subs, plug, print_term, rebuild_subs)
+# Not called here; bench/instrument.py wraps these two names in this module.
+from .syntax import shift_free, subst_bound  # noqa: F401
 
 I = lam("z", Var("z"))
 
@@ -51,89 +53,25 @@ def require_cterm(t: Term):
         raise ValueError(f"not a bang-free term: {print_term(t)}")
 
 
-def is_value(t: Term) -> bool:
-    return isinstance(t, (Var, Idx, Abs))
-
-
 # ---------------------------------------------------------------------------
-# Reduction
-
-
-def _contract_c(tag: str, t: Term) -> Optional[Term]:
-    match t:
-        case App(fun, arg):
-            spine, core = peel_subs(fun)
-            if isinstance(core, Abs):
-                inner = Sub(core.hint, core.body, shift_free(arg, len(spine)))
-                return rebuild_subs(spine, inner)
-        case Sub(_, body, arg):
-            if tag == CBN:
-                return subst_bound(body, arg, 0)
-            spine, core = peel_subs(arg)
-            if is_value(core):
-                return rebuild_subs(spine, subst_bound(body, core, len(spine)))
-    return None
+# Reduction: the engine of `reduction` under the CBN and CBV closures
 
 
 def c_redex_positions(tag: str, t: Term) -> list[tuple[tuple[int, ...], Term]]:
     """Surface redexes of the tagged calculus, leftmost-outermost order."""
-    out: list[tuple[tuple[int, ...], Term]] = []
-
-    def walk(t: Term, pos: tuple[int, ...]):
-        c = _contract_c(tag, t)
-        if c is not None:
-            out.append((pos, c))
-        match t:
-            case Abs(_, body):
-                if tag == CBN:
-                    walk(body, pos + (0,))
-            case App(fun, arg):
-                walk(fun, pos + (0,))
-                if tag == CBV:
-                    walk(arg, pos + (1,))
-            case Sub(_, body, arg):
-                walk(body, pos + (0,))
-                if tag == CBV:
-                    walk(arg, pos + (1,))
-
-    walk(t, ())
-    out.sort(key=lambda r: r[0])
-    return out
+    return [(r.position, r.contractum) for r in reduction.redexes(t, tag)]
 
 
 def c_step(tag: str, t: Term, policy="leftmost-outermost") -> Optional[Term]:
-    rs = c_redex_positions(tag, t)
-    if not rs:
-        return None
-    pos, contractum = rs[0] if policy == "leftmost-outermost" else rs[policy]
-    from .syntax import replace_at
-
-    return replace_at(t, pos, contractum)
+    return reduction.step(t, tag, policy)
 
 
 def c_reducts(tag: str, t: Term) -> list[Term]:
-    from .syntax import replace_at
-
-    out, seen = [], set()
-    for pos, contractum in c_redex_positions(tag, t):
-        u = replace_at(t, pos, contractum)
-        if u not in seen:
-            seen.add(u)
-            out.append(u)
-    return out
+    return reduction.reducts(t, tag)
 
 
 def c_normalize(tag: str, t: Term, fuel: int = 1000) -> ReduceOutcome:
-    steps = 0
-    while steps < fuel:
-        nxt = c_step(tag, t)
-        if nxt is None:
-            return ReduceOutcome("normalized", t, steps)
-        t = nxt
-        steps += 1
-    if c_step(tag, t) is None:
-        return ReduceOutcome("normalized", t, steps)
-    return ReduceOutcome("fuel-exhausted", t, steps)
+    return reduction.normalize(t, tag, fuel)
 
 
 # ---------------------------------------------------------------------------
@@ -280,24 +218,11 @@ class SimulationReport:
     failures: tuple[tuple[Term, Term], ...] = ()
 
 
-def _bang_reaches(start: Term, target: Term, window: int) -> bool:
-    """Bounded surface search in the bang calculus for the target image."""
-    frontier = {start}
-    seen = set(frontier)
-    for _ in range(window):
-        if target in seen:
-            return True
-        frontier = {v for u in frontier for v in reduction.reducts(u, reduction.SURFACE)} - seen
-        if not frontier:
-            break
-        seen |= frontier
-    return target in seen
-
-
 def simulate_check(tag: str, t: Term, fuel: int = 50, window: int = 6) -> SimulationReport:
     """Each source step t -> u must project to a bounded surface chain
     embed(t) ->* embed(u), possibly padded by administrative steps."""
     require_cterm(t)
+    surface = partial(reduction.reducts, closure=reduction.SURFACE)
     failures = []
     steps = 0
     current = t
@@ -306,7 +231,8 @@ def simulate_check(tag: str, t: Term, fuel: int = 50, window: int = 6) -> Simula
         if nxt is None:
             break
         steps += 1
-        if not _bang_reaches(embed(tag, current), embed(tag, nxt), window):
+        if not reduction.meet_within(embed(tag, current), embed(tag, nxt), surface,
+                                     window, fixed_target=True):
             failures.append((current, nxt))
         current = nxt
     return SimulationReport(steps, not failures, tuple(failures))
@@ -327,8 +253,6 @@ def _cbn_witness_context(nf: Term) -> Optional[Ctx]:
     opened: list[str] = []
     i = 0
     while isinstance(body, Abs):
-        from .syntax import fresh_name, open_var
-
         name = fresh_name(body.hint or "x", free_vars(nf) | set(opened))
         opened.append(name)
         body = open_var(body.body, name)
@@ -364,9 +288,7 @@ def _cbv_witness_context(t: Term, fuel: int) -> Optional[Ctx]:
     names = sorted(free_vars(t))
     if not names:
         return Ctx(TESTING, ())
-    import itertools as _it
-
-    for assignment in _it.product(_CBV_VALUE_POOL, repeat=len(names)):
+    for assignment in itertools.product(_CBV_VALUE_POOL, repeat=len(names)):
         frames: list = []
         for name, w in zip(names, assignment):
             frames += [AppFun(w), AbsBody(name)]

@@ -111,12 +111,10 @@ def cmd_check_derivation(ns) -> int:
 
 
 def _derivation_from_json(data) -> typesys.Derivation:
-    from .syntax import parse_term as pt
-
     env = typesys.Env(tuple((n, parse_type(s)) for n, s in data.get("env", {}).items()))
     return typesys.Derivation(
         data["system"], data["rule"],
-        typesys.Judgment(env, pt(data["term"]), parse_type(data["type"])),
+        typesys.Judgment(env, parse_term(data["term"]), parse_type(data["type"])),
         tuple(_derivation_from_json(p) for p in data.get("premises", [])),
         binder=data.get("binder"))
 

@@ -24,9 +24,10 @@ from . import reduction
 from .inhabitation import InhBounds, Testability, testable
 from .reduction import normalize
 from .syntax import (Abs, App, AppFun, AbsBody, Bang, Ctx, TESTING, Term,
-                     Var, free_vars, open_var, parse_term, plug, print_term)
-from .typesys import (B, Bounds, Derivation, Env, Judgment, Type,
-                      canon_typing, typings_enumerate)
+                     Var, free_vars, fresh_name, open_var, parse_term, plug,
+                     print_term)
+from .typesys import (Arrow, B, Bounds, Derivation, Env, Judgment, Type,
+                      canon_typing, observable, typings_enumerate)
 
 MEANINGFUL, MEANINGLESS, UNKNOWN = "meaningful", "meaningless", "unknown"
 
@@ -78,8 +79,6 @@ def meaningless_certificate(nf: Term) -> Optional[str]:
     its abstraction closures are recognized."""
     match nf:
         case Abs(hint, body):
-            from .syntax import fresh_name
-
             return meaningless_certificate(
                 open_var(body, fresh_name(hint or "x", free_vars(body))))
         case App():
@@ -123,8 +122,6 @@ def build_testing_context(typing: tuple[Env, Type], testability: Testability) ->
         frames += [AppFun(w), AbsBody(name)]
     wit_by_multi = {m: res.witness for m, res in testability.args_results}
     arg_frames: list = []
-    from .typesys import Arrow, observable
-
     cursor = ty
     while not observable(B, cursor) and isinstance(cursor, Arrow):
         w = wit_by_multi.get(cursor.dom)
@@ -285,8 +282,6 @@ def _admits_typing(t: Term, canon_target, budgets: Budgets) -> bool:
         return False
     for d in typings_enumerate(B, out.term, budgets.type_bounds):
         if canon_typing(d.conclusion.typing) == canon_target:
-            ok, _ = check_testable_everywhere(d, budgets.inh_bounds)
-            del ok  # Unknown nodes are tolerated; definite No would fail testable()
             return True
     return False
 

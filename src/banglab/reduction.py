@@ -8,14 +8,17 @@ The three rules, each tolerating a stack L of interposed closures:
     der L<!t>   -->d!  L<t>              (dereliction opens a bang)
 
 Surface reduction closes the rules under all contexts except under a
-bang; full reduction has no restriction.
+bang; full reduction has no restriction.  The call-by-name and
+call-by-value calculi of `cbnv` run on the same engine under the CBN and
+CBV closures, with their own substitution rules.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
+from functools import partial
+from typing import Callable, Iterable, Iterator, Optional
 
 from .syntax import (Abs, App, Bang, Der, Idx, Position, Sub, Term, Var,
                      peel_subs, rebuild_subs, replace_at, shift_free,
@@ -23,6 +26,7 @@ from .syntax import (Abs, App, Bang, Der, Idx, Position, Sub, Term, Var,
 
 SURFACE = "surface"
 FULL = "full"
+CBN, CBV = "cbn", "cbv"
 
 
 class Rule(Enum):
@@ -63,33 +67,66 @@ def contract(t: Term) -> Optional[tuple[Rule, Term]]:
     return None
 
 
+def is_value(t: Term) -> bool:
+    """Values of the call-by-value calculus."""
+    return isinstance(t, (Var, Idx, Abs))
+
+
+def _contract_cbnv(closure: str, t: Term) -> Optional[tuple[Rule, Term]]:
+    """Contract the CBN or CBV redex rooted exactly at t, if any.  Their
+    substitution rules are the preimages of s! under the embeddings."""
+    match t:
+        case App():
+            return contract(t)
+        case Sub(_, body, arg):
+            if closure == CBN:
+                return Rule.SBANG, subst_bound(body, arg, 0)
+            spine, core = peel_subs(arg)
+            if is_value(core):
+                return Rule.SBANG, rebuild_subs(spine, subst_bound(body, core, len(spine)))
+    return None
+
+
+def subterms(t: Term, closure: str = SURFACE) -> Iterator[tuple[Position, Term]]:
+    """The subterms at the positions the closure reaches, in preorder,
+    which is lexicographic (leftmost-outermost) position order.
+
+    Surface reaches everything outside bangs, full everything.  CBN
+    enters abstraction bodies but no argument, CBV arguments but no
+    abstraction body, and neither enters a bang or a dereliction.  The
+    walk keeps its own stack, so any depth of t is safe."""
+    enter_body = closure != CBV
+    enter_arg = closure != CBN
+    enter_der = closure in (SURFACE, FULL)
+    enter_bang = closure == FULL
+    stack: list[tuple[Position, Term]] = [((), t)]
+    while stack:
+        pos, u = stack.pop()
+        yield pos, u
+        # Dispatch on the exact node class: this loop is the hot path of
+        # every reduction, and it runs faster than a match statement.
+        kind = type(u)
+        if kind is App or kind is Sub:
+            if enter_arg:
+                stack.append((pos + (1,), u.arg))
+            stack.append((pos + (0,), u.fun if kind is App else u.body))
+        elif kind is Abs and enter_body:
+            stack.append((pos + (0,), u.body))
+        elif (kind is Der and enter_der) or (kind is Bang and enter_bang):
+            stack.append((pos + (0,), u.inner))
+
+
+def _iter_redexes(t: Term, closure: str) -> Iterator[Redex]:
+    rules = contract if closure in (SURFACE, FULL) else partial(_contract_cbnv, closure)
+    for pos, u in subterms(t, closure):
+        hit = rules(u)
+        if hit is not None:
+            yield Redex(pos, *hit)
+
+
 def redexes(t: Term, closure: str = SURFACE) -> list[Redex]:
     """All redexes legal under the closure, in leftmost-outermost order."""
-    out: list[Redex] = []
-    under_bang_ok = closure == FULL
-
-    def walk(t: Term, pos: tuple[int, ...]):
-        hit = contract(t)
-        if hit is not None:
-            out.append(Redex(pos, hit[0], hit[1]))
-        match t:
-            case Abs(_, body):
-                walk(body, pos + (0,))
-            case App(fun, arg):
-                walk(fun, pos + (0,))
-                walk(arg, pos + (1,))
-            case Sub(_, body, arg):
-                walk(body, pos + (0,))
-                walk(arg, pos + (1,))
-            case Der(inner):
-                walk(inner, pos + (0,))
-            case Bang(inner):
-                if under_bang_ok:
-                    walk(inner, pos + (0,))
-
-    walk(t, ())
-    out.sort(key=lambda r: r.position)
-    return out
+    return list(_iter_redexes(t, closure))
 
 
 def apply_redex(t: Term, r: Redex) -> Term:
@@ -101,12 +138,11 @@ def step(t: Term, closure: str = SURFACE, policy="leftmost-outermost") -> Option
 
     policy is "leftmost-outermost" or an integer index into redexes(t).
     """
-    rs = redexes(t, closure)
-    if not rs:
-        return None
     if policy == "leftmost-outermost":
-        return apply_redex(t, rs[0])
-    return apply_redex(t, rs[policy])
+        r = next(_iter_redexes(t, closure), None)
+        return None if r is None else apply_redex(t, r)
+    rs = redexes(t, closure)
+    return apply_redex(t, rs[policy]) if rs else None
 
 
 @dataclass(frozen=True)
@@ -123,33 +159,24 @@ class ReduceOutcome:
 
 def normalize(t: Term, closure: str = SURFACE, fuel: int = 1000,
               keep_trace: bool = False) -> ReduceOutcome:
-    """Iterate leftmost-outermost steps until normal or out of fuel."""
+    """Iterate leftmost-outermost steps until normal or out of fuel.
+
+    Each step contracts only the first redex the walk meets."""
     trace: list[tuple[Rule, Position, Term]] = []
     steps = 0
-    while steps < fuel:
-        rs = redexes(t, closure)
-        if not rs:
-            return ReduceOutcome("normalized", t, steps, tuple(trace))
-        r = rs[0]
+    while (r := next(_iter_redexes(t, closure), None)) is not None:
+        if steps >= fuel:
+            return ReduceOutcome("fuel-exhausted", t, steps, tuple(trace))
         t = apply_redex(t, r)
         steps += 1
         if keep_trace:
             trace.append((r.rule, r.position, t))
-    if not redexes(t, closure):
-        return ReduceOutcome("normalized", t, steps, tuple(trace))
-    return ReduceOutcome("fuel-exhausted", t, steps, tuple(trace))
+    return ReduceOutcome("normalized", t, steps, tuple(trace))
 
 
 def reducts(t: Term, closure: str = SURFACE) -> list[Term]:
     """All one-step reducts under the closure (deduplicated, ordered)."""
-    seen = []
-    met = set()
-    for r in redexes(t, closure):
-        u = apply_redex(t, r)
-        if u not in met:
-            met.add(u)
-            seen.append(u)
-    return seen
+    return list(dict.fromkeys(apply_redex(t, r) for r in redexes(t, closure)))
 
 
 # ---------------------------------------------------------------------------
@@ -161,34 +188,8 @@ SBANG_ONLY = frozenset((Rule.SBANG,))
 
 def restricted_step(t: Term, fragment: frozenset[Rule]) -> list[Term]:
     """Full-closure one-step reducts restricted to a rule fragment."""
-    out: list[Term] = []
-
-    def walk(t: Term) -> list[Term]:
-        alts: list[Term] = []
-        hit = contract(t)
-        if hit is not None and hit[0] in fragment:
-            alts.append(hit[1])
-        match t:
-            case Abs(h, body):
-                alts += [Abs(h, b) for b in walk(body)]
-            case App(fun, arg):
-                alts += [App(f, arg) for f in walk(fun)]
-                alts += [App(fun, a) for a in walk(arg)]
-            case Sub(h, body, arg):
-                alts += [Sub(h, b, arg) for b in walk(body)]
-                alts += [Sub(h, body, a) for a in walk(arg)]
-            case Bang(inner):
-                alts += [Bang(i) for i in walk(inner)]
-            case Der(inner):
-                alts += [Der(i) for i in walk(inner)]
-        return alts
-
-    met = set()
-    for u in walk(t):
-        if u not in met:
-            met.add(u)
-            out.append(u)
-    return out
+    return list(dict.fromkeys(apply_redex(t, r) for r in redexes(t, FULL)
+                              if r.rule in fragment))
 
 
 # ---------------------------------------------------------------------------
@@ -221,29 +222,8 @@ def _clash_shapes_at(t: Term) -> list[str]:
 def static_clashes(t: Term, closure: str = SURFACE) -> list[tuple[Position, str]]:
     """Positions (legal under the closure) matching one of the four
     ill-formed stuck shapes."""
-    out: list[tuple[Position, str]] = []
-    under_bang_ok = closure == FULL
-
-    def walk(t: Term, pos: tuple[int, ...]):
-        for shape in _clash_shapes_at(t):
-            out.append((pos, shape))
-        match t:
-            case Abs(_, body):
-                walk(body, pos + (0,))
-            case App(fun, arg):
-                walk(fun, pos + (0,))
-                walk(arg, pos + (1,))
-            case Sub(_, body, arg):
-                walk(body, pos + (0,))
-                walk(arg, pos + (1,))
-            case Der(inner):
-                walk(inner, pos + (0,))
-            case Bang(inner):
-                if under_bang_ok:
-                    walk(inner, pos + (0,))
-
-    walk(t, ())
-    return out
+    return [(pos, shape) for pos, u in subterms(t, closure)
+            for shape in _clash_shapes_at(u)]
 
 
 # ---------------------------------------------------------------------------
@@ -292,7 +272,7 @@ def _grammar_flags(t: Term) -> tuple[bool, bool, bool]:
 
 def classify(t: Term) -> NfClass:
     """Surface classification per the clash-free NF grammar."""
-    if redexes(t, SURFACE):
+    if next(_iter_redexes(t, SURFACE), None) is not None:
         return NfClass.NOT_NORMAL
     ne, na, nb = _grammar_flags(t)
     if ne:
@@ -338,17 +318,26 @@ def clash_free(t: Term, closure: str = SURFACE, fuel: int = 1000) -> ClashFreeRe
     return ClashFreeReport(UNKNOWN)
 
 
+def meet_within(u1: Term, u2: Term, succ: Callable[[Term], Iterable[Term]],
+                layers: int, fixed_target: bool = False) -> bool:
+    """Bounded breadth-first search: do the terms reached from u1 and from
+    u2 by `succ` within `layers` rounds meet?  With fixed_target, u2 is
+    not expanded, so the question is whether u1 reaches u2.  Stops early
+    once they meet or neither side finds a new term."""
+    seen = ({u1}, {u2})
+    fronts = [{u1}, set() if fixed_target else {u2}]
+    for _ in range(layers):
+        if seen[0] & seen[1]:
+            return True
+        fronts = [{v for u in front for v in succ(u)} - old
+                  for front, old in zip(fronts, seen)]
+        if not any(fronts):
+            break
+        for old, front in zip(seen, fronts):
+            old |= front
+    return bool(seen[0] & seen[1])
+
+
 def joinable(u1: Term, u2: Term, closure: str = SURFACE, fuel: int = 6) -> bool:
     """Breadth-bounded search for a common reduct of u1 and u2."""
-    front1, front2 = {u1}, {u2}
-    seen1, seen2 = set(front1), set(front2)
-    for _ in range(fuel + 1):
-        if seen1 & seen2:
-            return True
-        front1 = {v for u in front1 for v in reducts(u, closure)} - seen1
-        front2 = {v for u in front2 for v in reducts(u, closure)} - seen2
-        if not front1 and not front2:
-            break
-        seen1 |= front1
-        seen2 |= front2
-    return bool(seen1 & seen2)
+    return meet_within(u1, u2, partial(reducts, closure=closure), fuel + 1)

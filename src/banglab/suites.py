@@ -12,12 +12,13 @@ from __future__ import annotations
 import itertools
 import time
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable
 
 from . import cbnv, measures, reduction, typesys
 from .inhabitation import inhabit
 from .meaning import Budgets, discriminate, genericity_check, meaningful
-from .reduction import DB_DBANG, SBANG_ONLY, restricted_step
+from .reduction import DB_DBANG, SBANG_ONLY, meet_within, restricted_step
 from .syntax import (Abs, App, Bang, Ctx, OMEGA, Term, Var, alpha_eq,
                      enum_terms, free_vars, gen_term, parse_context,
                      parse_term, print_term)
@@ -75,21 +76,6 @@ class Report:
         }
 
 
-def _join_within(u1: Term, u2: Term, frag, depth: int) -> bool:
-    f1, f2 = {u1}, {u2}
-    s1, s2 = set(f1), set(f2)
-    for _ in range(depth):
-        if s1 & s2:
-            return True
-        f1 = {v for u in f1 for v in restricted_step(u, frag)} - s1
-        f2 = {v for u in f2 for v in restricted_step(u, frag)} - s2
-        if not f1 and not f2:
-            break
-        s1 |= f1
-        s2 |= f2
-    return bool(s1 & s2)
-
-
 # ---------------------------------------------------------------------------
 # Rewriting suites
 
@@ -113,11 +99,13 @@ def suite_diamond(cfg: SuiteConfig) -> Report:
 def suite_commutation(cfg: SuiteConfig) -> Report:
     r = Report(cfg.suite, "one-step s! peaks join within bounded s! reduction, "
                           "and dB/d! steps strongly commute with s!", cfg)
+    s_bang = partial(restricted_step, fragment=SBANG_ONLY)
+    db_dbang = partial(restricted_step, fragment=DB_DBANG)
     for t in enum_terms(cfg.size_bound):
         s_reducts = restricted_step(t, SBANG_ONLY)
         if len(s_reducts) >= 2:
             for u1, u2 in itertools.combinations(s_reducts, 2):
-                if _join_within(u1, u2, SBANG_ONLY, 8):
+                if meet_within(u1, u2, s_bang, 8):
                     r.ok()
                 else:
                     r.fail(f"s! peak {print_term(t)}")
@@ -125,25 +113,13 @@ def suite_commutation(cfg: SuiteConfig) -> Report:
             for u1 in restricted_step(t, DB_DBANG):
                 for u2 in s_reducts:
                     closing = restricted_step(u1, SBANG_ONLY)
-                    if any(_r_star_reaches(u2, s, 10) for s in closing):
+                    if any(meet_within(u2, s, db_dbang, 10, fixed_target=True)
+                           for s in closing):
                         r.ok()
                     else:
                         r.fail(f"commutation {print_term(t)} => "
                                f"{print_term(u1)} | {print_term(u2)}")
     return r
-
-
-def _r_star_reaches(start: Term, target: Term, depth: int) -> bool:
-    front = {start}
-    seen = set(front)
-    for _ in range(depth):
-        if target in seen:
-            return True
-        front = {v for u in front for v in restricted_step(u, DB_DBANG)} - seen
-        if not front:
-            break
-        seen |= front
-    return target in seen
 
 
 def suite_confluence(cfg: SuiteConfig) -> Report:

@@ -710,7 +710,7 @@ class Ctx:
                     raise ValueError(f"{type(f).__name__} frame not allowed in {self.kind} context")
 
     def __str__(self) -> str:
-        return print_term(_ctx_skeleton(self))
+        return print_term(plug(self, _Hole()))
 
     def compose(self, inner: "Ctx") -> "Ctx":
         """Plug `inner` into this context's hole (kinds must agree or widen)."""
@@ -752,27 +752,6 @@ def _testing_ok(frames: Sequence[Frame]) -> bool:
         if i < len(frames) and isinstance(frames[i], AbsBody):
             i += 1
     return True
-
-
-def _ctx_skeleton(c: Ctx) -> Term:
-    t: Term = _Hole()
-    for f in reversed(c.frames):
-        match f:
-            case AppFun(arg):
-                t = App(t, arg)
-            case AppArg(fun):
-                t = App(fun, t)
-            case AbsBody(binder):
-                t = Abs(binder, close_var(t, binder))
-            case SubBody(binder, arg):
-                t = Sub(binder, close_var(t, binder), arg)
-            case SubArg(binder, body):
-                t = Sub(binder, body, t)
-            case BangInner():
-                t = Bang(t)
-            case DerInner():
-                t = Der(t)
-    return t
 
 
 def plug(c: Ctx, t: Term) -> Term:

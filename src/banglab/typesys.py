@@ -31,7 +31,7 @@ from typing import Iterator, Optional, Sequence
 
 from . import reduction
 from .syntax import (Abs, App, Bang, Der, Idx, Sub, Term, Var, free_vars,
-                     open_var)
+                     open_var, print_term)
 
 B, N, V = "B", "N", "V"
 
@@ -312,8 +312,6 @@ class Derivation:
             yield from p.all_judgments()
 
     def to_json(self) -> dict:
-        from .syntax import print_term
-
         return {
             "system": self.system,
             "rule": self.rule,

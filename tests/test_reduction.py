@@ -3,14 +3,42 @@ import itertools
 import hypothesis
 import hypothesis.strategies as st
 
-from banglab.reduction import (DB_DBANG, FULL, SBANG_ONLY, SURFACE, NfClass,
-                               Rule, apply_redex, clash_free, classify,
-                               joinable, normalize, redexes, reducts,
-                               restricted_step, step, static_clashes)
-from banglab.syntax import (Abs, App, Bang, OMEGA, Var, enum_terms, free_vars,
-                            gen_term, parse_term, print_term)
+from banglab.reduction import (CBN, CBV, DB_DBANG, FULL, SBANG_ONLY, SURFACE,
+                               NfClass, Rule, apply_redex, clash_free,
+                               classify, joinable, normalize, redexes,
+                               reducts, restricted_step, step, static_clashes,
+                               subterms)
+from banglab.syntax import (Abs, App, Bang, Der, OMEGA, Var, enum_terms,
+                            free_vars, gen_term, parse_term, print_term,
+                            subterm_at, term_size)
 
 p = parse_term
+
+
+def test_subterms_walk_in_position_order():
+    cases = [(t, closure) for t in enum_terms(6) for closure in (SURFACE, FULL)]
+    cases += [(t, closure) for t in enum_terms(6, bang_free=True)
+              for closure in (CBN, CBV)]
+    for t, closure in cases:
+        walked = list(subterms(t, closure))
+        positions = [pos for pos, _ in walked]
+        assert positions == sorted(set(positions)), (print_term(t), closure)
+        assert all(subterm_at(t, pos) is u for pos, u in walked)
+        if closure == FULL:
+            assert len(walked) == term_size(t)
+        if closure == SURFACE:
+            assert not any(isinstance(subterm_at(t, pos[:i]), Bang)
+                           for pos, _ in walked for i in range(len(pos)))
+
+
+def test_redex_scans_survive_deep_terms():
+    t = Bang(Var("x"))
+    for _ in range(5000):
+        t = Der(t)
+    rs = redexes(t, FULL)
+    assert [(r.position, r.rule, r.contractum) for r in rs] == [
+        ((0,) * 4999, Rule.DBANG, Var("x"))]
+    assert static_clashes(t, FULL) == []
 
 
 def test_distance_redex():
