@@ -103,7 +103,14 @@ def cmd_typings(ns) -> int:
 
 
 def cmd_check_derivation(ns) -> int:
-    data = json.load(sys.stdin if ns.file == "-" else open(ns.file))
+    try:
+        if ns.file == "-":
+            data = json.load(sys.stdin)
+        else:
+            with open(ns.file) as f:
+                data = json.load(f)
+    except OSError as e:
+        raise ValueError(f"cannot read {ns.file}: {e.strerror}") from e
     d = _derivation_from_json(data)
     err = typesys.check_derivation(d)
     _emit(ns, {"ok": err is None, "error": err}, err or "ok")
@@ -111,6 +118,11 @@ def cmd_check_derivation(ns) -> int:
 
 
 def _derivation_from_json(data) -> typesys.Derivation:
+    if not isinstance(data, dict):
+        raise ValueError("a derivation node must be a JSON object")
+    missing = [k for k in ("system", "rule", "term", "type") if k not in data]
+    if missing:
+        raise ValueError(f"derivation node without {', '.join(missing)}")
     env = typesys.Env(tuple((n, parse_type(s)) for n, s in data.get("env", {}).items()))
     return typesys.Derivation(
         data["system"], data["rule"],
@@ -132,10 +144,16 @@ def cmd_inhabit(ns) -> int:
     return 0
 
 
+def _binding(pair: str):
+    name, colon, ty = pair.partition(":")
+    if not (name and colon):
+        raise ValueError(f"malformed --env binding {pair!r}: expected name:type, like x:[a]")
+    return name, parse_type(ty)
+
+
 def cmd_testable(ns) -> int:
     goal = parse_type(ns.type)
-    env = typesys.Env(tuple((n, parse_type(s)) for n, s in
-                            (pair.split(":", 1) for pair in ns.env)))
+    env = typesys.Env(tuple(_binding(pair) for pair in ns.env))
     res = testable(ns.system, (env, goal), InhBounds(type_bounds=_bounds(ns)))
     _emit(ns, {"verdict": res.verdict}, res.verdict)
     return 0

@@ -22,7 +22,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterator, Optional, Sequence
+from operator import is_not
+from typing import Callable, Iterator, Optional, Sequence
 
 
 # ---------------------------------------------------------------------------
@@ -141,7 +142,7 @@ def free_vars(t: Term) -> frozenset[str]:
 
 
 def max_free_index(t: Term, depth: int = 0) -> int:
-    """Largest dangling de Bruijn index (-1 if locally closed)."""
+    """Largest dangling de Bruijn index (negative if locally closed)."""
     match t:
         case Var():
             return -1
@@ -158,66 +159,61 @@ def max_free_index(t: Term, depth: int = 0) -> int:
     raise TypeError(t)
 
 
+def map_leaves(t: Term, leaf: Callable[[Term, int], Term], depth: int = 0) -> Term:
+    """Rebuild t with every Var/Idx leaf replaced by leaf(node, d), where
+    d is `depth` plus the number of binders above the leaf.
+
+    A subterm whose leaves all come back unchanged is shared, not copied.
+    The walk keeps its own stack, so any depth of t is safe."""
+    done: list[Term] = []
+    todo: list[tuple[Term, Optional[int]]] = [(t, depth)]
+    while todo:
+        u, d = todo.pop()
+        kind = type(u)
+        if d is None:  # the rebuilt children of u are on top of `done`
+            kids = children(u)
+            new = done[-len(kids):]
+            del done[-len(kids):]
+            if any(map(is_not, new, kids)):
+                u = _rebuild(u, new)
+            done.append(u)
+        elif kind is Var or kind is Idx:
+            done.append(leaf(u, d))
+        elif kind is _Hole:
+            done.append(u)
+        else:
+            todo.append((u, None))
+            if kind is App:
+                todo += ((u.arg, d), (u.fun, d))
+            elif kind is Sub:
+                todo += ((u.arg, d), (u.body, d + 1))
+            elif kind is Abs:
+                todo.append((u.body, d + 1))
+            elif kind is Bang or kind is Der:
+                todo.append((u.inner, d))
+            else:
+                raise TypeError(u)
+    return done[0]
+
+
 def shift_free(t: Term, delta: int, cutoff: int = 0) -> Term:
     """Add `delta` to every dangling index >= cutoff."""
     if delta == 0:
         return t
-    match t:
-        case Var():
-            return t
-        case Idx(k):
-            return Idx(k + delta) if k >= cutoff else t
-        case Abs(h, body):
-            return Abs(h, shift_free(body, delta, cutoff + 1))
-        case App(fun, arg):
-            return App(shift_free(fun, delta, cutoff), shift_free(arg, delta, cutoff))
-        case Sub(h, body, arg):
-            return Sub(h, shift_free(body, delta, cutoff + 1), shift_free(arg, delta, cutoff))
-        case Bang(inner):
-            return Bang(shift_free(inner, delta, cutoff))
-        case Der(inner):
-            return Der(shift_free(inner, delta, cutoff))
-    raise TypeError(t)
+    return map_leaves(t, lambda n, d: Idx(n.k + delta) if type(n) is Idx and n.k >= d else n,
+                      cutoff)
 
 
 def close_var(t: Term, name: str, depth: int = 0) -> Term:
     """Turn free occurrences of `name` into the index bound at `depth`."""
-    match t:
-        case Var(n):
-            return Idx(depth) if n == name else t
-        case Idx() | _Hole():
-            return t
-        case Abs(h, body):
-            return Abs(h, close_var(body, name, depth + 1))
-        case App(fun, arg):
-            return App(close_var(fun, name, depth), close_var(arg, name, depth))
-        case Sub(h, body, arg):
-            return Sub(h, close_var(body, name, depth + 1), close_var(arg, name, depth))
-        case Bang(inner):
-            return Bang(close_var(inner, name, depth))
-        case Der(inner):
-            return Der(close_var(inner, name, depth))
-    raise TypeError(t)
+    return map_leaves(t, lambda n, d: Idx(d) if type(n) is Var and n.name == name else n,
+                      depth)
 
 
 def open_var(t: Term, name: str, depth: int = 0) -> Term:
     """Turn the index bound at `depth` into the free variable `name`."""
-    match t:
-        case Var() | _Hole():
-            return t
-        case Idx(k):
-            return Var(name) if k == depth else t
-        case Abs(h, body):
-            return Abs(h, open_var(body, name, depth + 1))
-        case App(fun, arg):
-            return App(open_var(fun, name, depth), open_var(arg, name, depth))
-        case Sub(h, body, arg):
-            return Sub(h, open_var(body, name, depth + 1), open_var(arg, name, depth))
-        case Bang(inner):
-            return Bang(open_var(inner, name, depth))
-        case Der(inner):
-            return Der(open_var(inner, name, depth))
-    raise TypeError(t)
+    return map_leaves(t, lambda n, d: Var(name) if type(n) is Idx and n.k == d else n,
+                      depth)
 
 
 def lam(name: str, body: Term) -> Term:
@@ -241,22 +237,7 @@ def msubst(t: Term, x: str, u: Term) -> Term:
     `u` must be locally closed; index binders cannot capture its free
     names, so no renaming is ever needed.
     """
-    match t:
-        case Var(n):
-            return u if n == x else t
-        case Idx():
-            return t
-        case Abs(h, body):
-            return Abs(h, msubst(body, x, u))
-        case App(fun, arg):
-            return App(msubst(fun, x, u), msubst(arg, x, u))
-        case Sub(h, body, arg):
-            return Sub(h, msubst(body, x, u), msubst(arg, x, u))
-        case Bang(inner):
-            return Bang(msubst(inner, x, u))
-        case Der(inner):
-            return Der(msubst(inner, x, u))
-    raise TypeError(t)
+    return map_leaves(t, lambda n, d: u if type(n) is Var and n.name == x else n)
 
 
 def subst_bound(body: Term, u: Term, layers: int, depth: int = 0) -> Term:
@@ -267,26 +248,15 @@ def subst_bound(body: Term, u: Term, layers: int, depth: int = 0) -> Term:
     the removed binder are displaced by layers - 1, and copies of `u`
     spliced at internal depth d get their dangling indices shifted by d.
     """
-    match body:
-        case Var():
-            return body
-        case Idx(k):
-            if k == depth:
-                return shift_free(u, depth)
-            if k > depth:
-                return Idx(k + layers - 1)
-            return body
-        case Abs(h, b):
-            return Abs(h, subst_bound(b, u, layers, depth + 1))
-        case App(fun, arg):
-            return App(subst_bound(fun, u, layers, depth), subst_bound(arg, u, layers, depth))
-        case Sub(h, b, arg):
-            return Sub(h, subst_bound(b, u, layers, depth + 1), subst_bound(arg, u, layers, depth))
-        case Bang(inner):
-            return Bang(subst_bound(inner, u, layers, depth))
-        case Der(inner):
-            return Der(subst_bound(inner, u, layers, depth))
-    raise TypeError(body)
+    def leaf(n: Term, d: int) -> Term:
+        if type(n) is Idx:
+            if n.k == d:
+                return shift_free(u, d)
+            if n.k > d:
+                return Idx(n.k + layers - 1)
+        return n
+
+    return map_leaves(body, leaf, depth)
 
 
 def peel_subs(t: Term) -> tuple[list[Sub], Term]:
@@ -314,17 +284,19 @@ Position = tuple[int, ...]
 
 
 def children(t: Term) -> tuple[Term, ...]:
-    match t:
-        case Var() | Idx():
-            return ()
-        case Abs(_, body):
-            return (body,)
-        case App(fun, arg):
-            return (fun, arg)
-        case Sub(_, body, arg):
-            return (body, arg)
-        case Bang(inner) | Der(inner):
-            return (inner,)
+    # Dispatch on the exact node class: every walk over terms calls this,
+    # and it runs several times faster than a match statement.
+    kind = type(t)
+    if kind is App:
+        return (t.fun, t.arg)
+    if kind is Sub:
+        return (t.body, t.arg)
+    if kind is Abs:
+        return (t.body,)
+    if kind is Bang or kind is Der:
+        return (t.inner,)
+    if kind is Var or kind is Idx:
+        return ()
     raise TypeError(t)
 
 
@@ -334,26 +306,25 @@ def subterm_at(t: Term, pos: Position) -> Term:
     return t
 
 
+def _rebuild(t: Term, kids: Sequence[Term]) -> Term:
+    """A node like t with `kids` in place of its children."""
+    kind = type(t)
+    if kind is Abs or kind is Sub:
+        return kind(t.hint, *kids)
+    return kind(*kids)
+
+
 def replace_at(t: Term, pos: Position, new: Term) -> Term:
-    if not pos:
-        return new
-    i, rest = pos[0], pos[1:]
-    match t:
-        case Abs(h, body):
-            return Abs(h, replace_at(body, rest, new))
-        case App(fun, arg):
-            if i == 0:
-                return App(replace_at(fun, rest, new), arg)
-            return App(fun, replace_at(arg, rest, new))
-        case Sub(h, body, arg):
-            if i == 0:
-                return Sub(h, replace_at(body, rest, new), arg)
-            return Sub(h, body, replace_at(arg, rest, new))
-        case Bang(inner):
-            return Bang(replace_at(inner, rest, new))
-        case Der(inner):
-            return Der(replace_at(inner, rest, new))
-    raise IndexError(f"no child {i} at {t!r}")
+    """t with the subterm at `pos` replaced by `new`."""
+    path = []
+    for i in pos:
+        path.append(t)
+        t = children(t)[i]
+    for node, i in zip(reversed(path), reversed(pos)):
+        kids = list(children(node))
+        kids[i] = new
+        new = _rebuild(node, kids)
+    return new
 
 
 # ---------------------------------------------------------------------------
@@ -981,7 +952,11 @@ def enum_terms(size_bound: int, free_pool: Sequence[str] = ("x", "y"),
 
 
 def term_size(t: Term) -> int:
-    return 1 + sum(term_size(c) for c in children(t))
+    size, stack = 0, [t]
+    while stack:
+        size += 1
+        stack.extend(children(stack.pop()))
+    return size
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ line and enforcing its runtime budget."""
 
 import itertools
 import time
+from functools import partial
 
 import pytest
 
@@ -11,7 +12,7 @@ from banglab.cbnv import CBN, CBV
 from banglab.inhabitation import inhabit
 from banglab.meaning import (Budgets, discriminate, genericity_check,
                              meaningful, search_testing_context)
-from banglab.reduction import DB_DBANG, SBANG_ONLY, restricted_step
+from banglab.reduction import DB_DBANG, SBANG_ONLY, meet_within, restricted_step
 from banglab.syntax import (Abs, App, Bang, OMEGA, Var, alpha_eq, enum_terms,
                             free_vars, gen_term, parse_context, parse_term,
                             plug, print_term)
@@ -101,41 +102,19 @@ def test_criterion_3_local_confluence_and_commutation():
     g = Gate("criterion-3 s! local confluence + strong commutation", 60)
     bad = 0
 
-    def sjoin(u1, u2):
-        f1, f2 = {u1}, {u2}
-        s1, s2 = set(f1), set(f2)
-        for _ in range(8):
-            if s1 & s2:
-                return True
-            f1 = {v for u in f1 for v in restricted_step(u, SBANG_ONLY)} - s1
-            f2 = {v for u in f2 for v in restricted_step(u, SBANG_ONLY)} - s2
-            if not f1 and not f2:
-                break
-            s1 |= f1
-            s2 |= f2
-        return bool(s1 & s2)
-
-    def reaches(start, target):
-        front, seen = {start}, {start}
-        for _ in range(10):
-            if target in seen:
-                return True
-            front = {v for u in front for v in restricted_step(u, DB_DBANG)} - seen
-            if not front:
-                break
-            seen |= front
-        return target in seen
-
+    s_bang = partial(restricted_step, fragment=SBANG_ONLY)
+    db_dbang = partial(restricted_step, fragment=DB_DBANG)
     for t in enum_terms(8):
         s_reds = restricted_step(t, SBANG_ONLY)
         if len(s_reds) >= 2:
             for u1, u2 in itertools.combinations(s_reds, 2):
-                if not sjoin(u1, u2):
+                if not meet_within(u1, u2, s_bang, 8):
                     bad += 1
         if s_reds:
             for u1 in restricted_step(t, DB_DBANG):
                 for u2 in s_reds:
-                    if not any(reaches(u2, s) for s in restricted_step(u1, SBANG_ONLY)):
+                    if not any(meet_within(u2, s, db_dbang, 10, fixed_target=True)
+                               for s in restricted_step(u1, SBANG_ONLY)):
                         bad += 1
     g.done(bad, "(exhaustive, size <= 8)")
 

@@ -120,6 +120,22 @@ def test_check_derivation_roundtrip(capsys, tmp_path, monkeypatch):
     assert code == 0 and out.strip() == "ok"
 
 
+def test_check_derivation_bad_input(capsys, tmp_path):
+    missing = tmp_path / "missing.json"
+    incomplete = tmp_path / "incomplete.json"
+    incomplete.write_text(json.dumps({"system": "B", "term": "x", "type": "[a]"}))
+    for path, says in ((missing, "No such file"), (incomplete, "rule")):
+        code, _, err = run(capsys, "check-derivation", str(path))
+        assert code == 2 and err.startswith("error:") and err.count("\n") == 1
+        assert says in err
+
+
+def test_testable_malformed_env(capsys):
+    code, _, err = run(capsys, "testable", "--type", "[]", "--env", "x")
+    assert code == 2 and err.count("\n") == 1
+    assert "'x'" in err and "name:type" in err
+
+
 def test_prop_test_exit_and_determinism(capsys):
     code, out1, _ = run(capsys, "--json", "prop-test", "--suite", "measure",
                         "--seed", "3", "--count", "30")

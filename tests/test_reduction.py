@@ -41,6 +41,20 @@ def test_redex_scans_survive_deep_terms():
     assert static_clashes(t, FULL) == []
 
 
+def test_normalize_survives_deep_terms():
+    t = App(p("\\z.z"), Bang(Var("y")))
+    for _ in range(10_000):
+        t = Abs("x", t)
+    out = normalize(t, SURFACE)
+    assert out.normalized and out.steps == 2
+    # walk down by hand: ==, hash and print_term recurse
+    u = out.term
+    for _ in range(10_000):
+        assert isinstance(u, Abs)
+        u = u.body
+    assert u == Var("y")
+
+
 def test_distance_redex():
     t = p("(\\x.x)[y<-w] !z")
     rs = redexes(t, SURFACE)

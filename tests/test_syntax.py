@@ -2,10 +2,13 @@ import hypothesis
 import hypothesis.strategies as st
 import pytest
 
-from banglab.syntax import (Abs, App, Bang, Ctx, Der, Sub, Var, alpha_eq,
-                            enum_terms, free_vars, gen_term, lam, esub,
-                            match_list_bang, msubst, parse_context,
-                            parse_term, plug, print_term, subterm_at,
+from banglab.reduction import FULL, subterms
+from banglab.syntax import (Abs, App, Bang, Ctx, Der, Idx, Sub, Var,
+                            alpha_eq, children, close_var, enum_terms,
+                            free_vars, gen_term, lam, esub, match_list_bang,
+                            max_free_index, msubst, open_var, parse_context,
+                            parse_term, plug, print_term, replace_at,
+                            shift_free, subst_bound, subterm_at,
                             term_from_json, term_to_json, term_size,
                             ParseError, I, DELTA, OMEGA)
 
@@ -81,6 +84,64 @@ def test_msubst_capture_avoided():
 def test_msubst_identity_when_not_free():
     t = p("\\x.x !y")
     assert msubst(t, "z", OMEGA) == t
+
+
+def test_index_maps_agree_on_small_terms():
+    # Each law ties two leaf callbacks together, or one to the separate
+    # recursion of max_free_index, so an off-by-one in the depth or cutoff
+    # handling of any of them breaks one.  The subterms bring in dangling
+    # indices, which enum_terms never yields.
+    closed_args = (Var("y"), I, Bang(Var("x")))
+    for t in {u for t in enum_terms(6) for _, u in subterms(t, FULL)}:
+        top = max_free_index(t)
+        assert max_free_index(shift_free(t, 1)) == (top + 1 if top >= 0 else top)
+        for c in (0, 1):
+            assert shift_free(shift_free(t, 2, c), -2, c) == t
+            assert shift_free(t, 1, c) == subst_bound(t, Idx(1), 2, c)
+        assert subst_bound(t, Var("z"), 1) == open_var(t, "z")
+        if top < 0:
+            assert open_var(close_var(t, "x"), "x") == t
+            for u in closed_args:
+                assert msubst(t, "x", u) == subst_bound(close_var(t, "x"), u, 1)
+
+
+DEEP = 10_000
+
+
+def _deep(leaf):
+    """`leaf` under DEEP nodes: abstractions, closures, applications, bangs
+    and derelictions in turn, with the leaf always in the first child."""
+    wraps = (lambda t: Abs("a", t), lambda t: Sub("s", t, Var("y")),
+             lambda t: App(t, Var("y")), Bang, Der)
+    for i in range(DEEP):
+        leaf = wraps[i % len(wraps)](leaf)
+    return leaf
+
+
+def _spine(t):
+    """The node kinds and other children along the first-child path, and
+    the leaf at its end.  Iterative: ==, hash and print_term recurse."""
+    path = []
+    while children(t):
+        path.append((type(t), children(t)[1:]))
+        t = children(t)[0]
+    return path, t
+
+
+def test_index_maps_survive_deep_terms():
+    binders = 2 * DEEP // 5
+    dangling, named = _deep(Idx(binders)), _deep(Var("x"))
+    shape, _ = _spine(named)
+    cases = [(shift_free(dangling, 1), Idx(binders + 1)),
+             (close_var(named, "x"), Idx(binders)),
+             (open_var(dangling, "x"), Var("x")),
+             (msubst(named, "x", Var("z")), Var("z")),
+             (subst_bound(dangling, Var("z"), 1), Var("z")),
+             (replace_at(named, (0,) * DEEP, Var("z")), Var("z"))]
+    for got, leaf in cases:
+        assert _spine(got) == (shape, leaf)
+    # one node per level, plus the other child of each closure and application
+    assert term_size(named) == 1 + DEEP + 2 * DEEP // 5
 
 
 def test_plug():
