@@ -19,7 +19,13 @@ the axiom types and the family sizes.  Bounds fix the axiom-type
 universe (depth `depth`, variables from a pool of `pool` names) and cap
 every formed multiset at `card` elements; everything else is determined
 by the subject term, so the enumerated set is finite and complete
-relative to those choices.
+relative to those choices.  The rules of B, N and V are written once,
+in the generator `_rules`, which yields every last-rule instance for a
+term from the items (env and type first) of its subterms.  It has two
+consumers: `_pairs`, the memoised, deduplicated typing tables behind
+`typing_pairs`, the transfer checks and inhabitation; and
+`typings_enumerate`, the lazy derivation stream behind `meaningful`,
+`find_derivation` and the CLI.
 """
 
 from __future__ import annotations
@@ -27,7 +33,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 from . import reduction
 from .syntax import (Abs, App, Bang, Der, Idx, Sub, Term, Var, free_vars,
@@ -95,17 +101,6 @@ def arrow(*types: Type) -> Type:
             raise TypeError("arrow domain must be a multitype")
         cod = Arrow(d, cod)
     return cod
-
-
-def type_vars(t: Type) -> frozenset[str]:
-    match t:
-        case TVar(name):
-            return frozenset((name,))
-        case Multi(elems):
-            return frozenset().union(*(type_vars(e) for e in elems)) if elems else frozenset()
-        case Arrow(dom, cod):
-            return type_vars(dom) | type_vars(cod)
-    raise TypeError(t)
 
 
 def rename_tvars(t: Type, mapping: dict[str, str]) -> Type:
@@ -522,6 +517,14 @@ class Bounds:
     pool: int = 2
     depth: int = 3
 
+    def __post_init__(self):
+        for name in ("card", "pool", "depth"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
+        if self.pool > len(_POOL_NAMES):
+            raise ValueError(f"pool must be at most {len(_POOL_NAMES)} (the built-in type "
+                             f"variable names), got {self.pool}")
+
 
 _POOL_NAMES = ("a", "b", "c", "d", "e", "f", "g", "h")
 
@@ -558,7 +561,7 @@ def _value_var_multis(bounds: Bounds) -> tuple[Multi, ...]:
     """Base axiom multitypes for V variables: the universe multitypes
     plus singleton wrappers of universe arrows (function-position
     premises need those).  Demanded argument positions accept any
-    card-bounded multiset over the universe via _envs_at, mirroring how
+    card-bounded multiset over the universe via _rules_at, mirroring how
     the bang-calculus side reaches the same environments through one
     axiom per occurrence."""
     uni = type_universe(bounds)
@@ -586,23 +589,6 @@ def _depth(t: Type) -> int:
     raise TypeError(t)
 
 
-def wf_type(t: Type, bounds: Bounds) -> bool:
-    """Universe membership: depth, multiset cardinalities, and variable
-    pool all within bounds.  Judgment types are pruned by this check so
-    that enumerated typing sets live in one closed type world."""
-    names = _POOL_NAMES[: bounds.pool]
-    def ok(t: Type) -> bool:
-        match t:
-            case TVar(name):
-                return name in names
-            case Multi(elems):
-                return len(elems) <= bounds.card and all(ok(e) for e in elems)
-            case Arrow(dom, cod):
-                return ok(dom) and ok(cod)
-        raise TypeError(t)
-    return _depth(t) <= bounds.depth and ok(t)
-
-
 Pair = tuple[Env, Type]
 
 
@@ -625,22 +611,19 @@ def _profile_sums(profiles: Sequence[tuple[tuple[str, int], ...]], counts: Seque
     return True
 
 
-def _grouped_multisets(items: Sequence, sizes: Sequence[int], card: int, env_of
-                       ) -> Iterator[tuple]:
-    """Multisets over `items` whose env sum stays within the per-variable
-    cardinality bound.  Items are bucketed by env profile so infeasible
-    regions are skipped wholesale (output-linear in practice)."""
+def _grouped_multisets(items: Sequence, card: int) -> Iterator[tuple]:
+    """Multisets of at most `card` items whose summed environment (each
+    item's first entry) stays within the per-variable cardinality bound.
+    Items are bucketed by env profile so infeasible regions are skipped
+    wholesale (output-linear in practice)."""
     buckets: dict[tuple, list] = {}
     for it in items:
-        buckets.setdefault(_env_profile(env_of(it)), []).append(it)
+        buckets.setdefault(_env_profile(it[0]), []).append(it)
     keys = sorted(buckets)
-    want = frozenset(sizes)
-    top = max(sizes) if sizes else 0
 
     def assignments(i: int, left: int, counts: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
         if i == len(keys):
-            if (top - left) in want:
-                yield counts
+            yield counts
             return
         for k in range(0, left + 1):
             trial = counts + (k,)
@@ -648,7 +631,7 @@ def _grouped_multisets(items: Sequence, sizes: Sequence[int], card: int, env_of
                 return  # larger counts only increase the sums
             yield from assignments(i + 1, left - k, trial)
 
-    for counts in assignments(0, top, ()):
+    for counts in assignments(0, card, ()):
         pools = [
             list(itertools.combinations_with_replacement(buckets[keys[i]], k)) if k else [()]
             for i, k in enumerate(counts)
@@ -657,16 +640,153 @@ def _grouped_multisets(items: Sequence, sizes: Sequence[int], card: int, env_of
             yield tuple(it for combo in choice for it in combo)
 
 
-def _family_combos(pairs: Sequence[Pair], sizes: Sequence[int], card: int
-                   ) -> Iterator[tuple[tuple[Pair, ...], Env]]:
-    """Multisets over typing pairs (sizes drawn from `sizes`), with the
-    summed environment within the cardinality bound."""
-    for fam in _grouped_multisets(pairs, sizes, card, env_of=lambda p: p[0]):
-        yield fam, env_sum([p[0] for p in fam])
+def _families(lookup: Callable[[Type], Sequence], m: Multi, card: int
+              ) -> Iterator[tuple[Env, tuple]]:
+    """Premise families with one premise per element of m, each an item
+    from lookup(element type): equal element types are grouped and drawn
+    as combinations with replacement, the groups combined by product.
+    Yields (summed env, premises) for the families within the card bound."""
+    groups: dict[Type, int] = {}
+    for ty in m.elems:
+        groups[ty] = groups.get(ty, 0) + 1
+    options = []
+    for ty, count in groups.items():
+        cands = lookup(ty)
+        if not cands:
+            return
+        options.append([(combo, env_sum([it[0] for it in combo]) if count > 1 else combo[0][0])
+                        for combo in itertools.combinations_with_replacement(cands, count)])
+    for choice in itertools.product(*options):
+        env = choice[0][1] if len(choice) == 1 else env_sum([e for _, e in choice])
+        if _env_fits(env, card):
+            yield env, tuple(it for combo, _ in choice for it in combo)
+
+
+def _demand_driven(sys: str, t: Term) -> bool:
+    """Arguments typed from the wanted multitype down (see _rules_at)
+    instead of looked up in their own enumeration: B bangs and V
+    variables, so deep element types stay reachable there."""
+    return (sys == B and isinstance(t, Bang)) or (sys == V and isinstance(t, Var))
+
+
+def _lookup(sys: str, u: Term, depth: int, items, at) -> Callable[[Type], Sequence]:
+    """A function from a type to the items typing u exactly at it: `at`
+    for a demand-driven u, else u's items indexed by type once."""
+    if _demand_driven(sys, u):
+        return at(u, depth)
+    table: dict[Type, list] = {}
+    for it in items(u, depth):
+        table.setdefault(it[1], []).append(it)
+    return lambda ty: table.get(ty, ())
 
 
 def _opening(depth: int) -> str:
     return f"%{depth}"
+
+
+def _rules(sys: str, t: Term, bounds: Bounds, depth: int, items, at
+           ) -> Iterator[tuple[Env, Type, str, tuple, Optional[str]]]:
+    """Every last-rule instance (env, type, rule, premises, binder) of
+    system `sys` typing t within the bounds; t sits under `depth` binders.
+
+    An item is any sequence whose first two entries are an env and a
+    type; premises are items of the immediate subterms.  `items(u, d)`
+    gives the items of a subterm u under d binders, and `at(u, d)`, for a
+    demand-driven u, a function from a type to the items typing u exactly
+    at it.
+    """
+    card = bounds.card
+    match t:
+        case Var(x):
+            if sys == V:
+                for m in _value_var_multis(bounds):
+                    yield Env(((x, m),)), m, "var", (), None
+            else:
+                for ty in type_universe(bounds):
+                    yield Env(((x, multi(ty)),)), ty, "var", (), None
+        case Idx():
+            raise ValueError("enumeration requires a locally closed subject")
+        case Abs(_, body):
+            name = _opening(depth)
+            sub = items(open_var(body, name), depth + 1)
+            if sys == V:
+                # Fold the binder into the arrow before combining, so the
+                # card bound applies to the residual environments only.
+                folded = []
+                for it in sub:
+                    a = Arrow(it[0].get(name), it[1])
+                    if _depth(a) <= bounds.depth:
+                        folded.append((it[0].without(name), a, it))
+                for fam in _grouped_multisets(folded, card):
+                    yield (env_sum([f[0] for f in fam]), Multi(tuple(f[1] for f in fam)),
+                           "abs", tuple(f[2] for f in fam), name)
+            else:
+                for it in sub:
+                    yield it[0].without(name), Arrow(it[0].get(name), it[1]), "abs", (it,), name
+        case App(fun, arg):
+            arg_at = _arg_premises(sys, arg, bounds, depth, items, at)
+            for f in items(fun, depth):
+                fty = f[1]
+                if sys == V:
+                    if not (isinstance(fty, Multi) and len(fty) == 1
+                            and isinstance(fty.elems[0], Arrow)):
+                        continue
+                    fty = fty.elems[0]
+                if not isinstance(fty, Arrow):
+                    continue
+                for aenv, fam in arg_at(fty.dom):
+                    env = env_sum([f[0], aenv])
+                    if _env_fits(env, card):
+                        yield env, fty.cod, "app", (f, *fam), None
+        case Sub(_, body, arg):
+            name = _opening(depth)
+            arg_at = _arg_premises(sys, arg, bounds, depth, items, at)
+            for b in items(open_var(body, name), depth + 1):
+                for aenv, fam in arg_at(b[0].get(name)):
+                    env = env_sum([b[0].without(name), aenv])
+                    if _env_fits(env, card):
+                        yield env, b[1], "es", (b, *fam), name
+        case Bang(inner):
+            if sys == B:
+                sub = [it for it in items(inner, depth) if _depth(it[1]) < bounds.depth]
+                for fam in _grouped_multisets(sub, card):
+                    yield (env_sum([it[0] for it in fam]), Multi(tuple(it[1] for it in fam)),
+                           "bang", fam, None)
+        case Der(inner):
+            if sys == B:
+                for it in items(inner, depth):
+                    ty = it[1]
+                    if isinstance(ty, Multi) and len(ty) == 1:
+                        yield it[0], ty.elems[0], "der", (it,), None
+        case _:
+            raise TypeError(t)
+
+
+def _arg_premises(sys: str, arg: Term, bounds: Bounds, depth: int, items, at):
+    """A function from a multitype m to the ways (env, premises) of typing
+    the argument of an app or es node at m: in N a family with one
+    premise per element of m, in B and V one premise of type m."""
+    lookup = _lookup(sys, arg, depth, items, at)
+    if sys == N:
+        return lambda m: _families(lookup, m, bounds.card)
+    return lambda m: [(a[0], (a,)) for a in lookup(m)]
+
+
+def _rules_at(sys: str, t: Term, want: Type, bounds: Bounds, inner
+              ) -> Iterator[tuple[Env, Type, str, tuple, Optional[str]]]:
+    """The rule instances typing a demand-driven t exactly at `want`: the
+    V var axiom at any card-bounded multiset over the universe, or the B
+    bang rule with one premise per element of `want`, drawn from
+    `inner`, a function from a type to the items typing the bang's body
+    at it."""
+    if not isinstance(want, Multi):
+        return
+    if sys == V:
+        if _acceptable_var_multi(want, bounds):
+            yield Env(((t.name, want),)), want, "var", (), None
+    else:
+        for env, fam in _families(inner, want, bounds.card):
+            yield env, want, "bang", fam, None
 
 
 @lru_cache(maxsize=None)
@@ -674,153 +794,24 @@ def _pairs(sys: str, t: Term, bounds: Bounds, depth: int) -> tuple[Pair, ...]:
     """All (env, type) typings of t within the bounds (deduplicated)."""
     if sys == B and untypable_certificate(t):
         return ()
-    out: dict[Pair, None] = {}
 
-    def put(env: Env, ty: Type):
-        if _env_fits(env, bounds.card):
-            out[(env, ty)] = None
+    def items(u: Term, d: int) -> tuple[Pair, ...]:
+        return _pairs(sys, u, bounds, d)
 
-    match t:
-        case Var(x):
-            if sys == V:
-                for m in _value_var_multis(bounds):
-                    put(Env(((x, m),)), m)
-            else:
-                for ty in type_universe(bounds):
-                    put(Env(((x, multi(ty)),)), ty)
-        case Idx():
-            raise ValueError("enumeration requires a locally closed subject")
-        case Abs(_, body):
-            name = _opening(depth)
-            sub = _pairs(sys, open_var(body, name), bounds, depth + 1)
-            if sys == V:
-                # Fold the binder into the arrow before combining, so the
-                # card bound applies to the residual environments only.
-                stripped = [(p[0].without(name), Arrow(p[0].get(name), p[1])) for p in sub
-                            if _depth(Arrow(p[0].get(name), p[1])) <= bounds.depth]
-                for fam, env in _family_combos(stripped, range(0, bounds.card + 1), bounds.card):
-                    put(env, Multi(tuple(p[1] for p in fam)))
-            else:
-                for env, ty in sub:
-                    put(env.without(name), Arrow(env.get(name), ty))
-        case App(fun, arg):
-            fp = _pairs(sys, fun, bounds, depth)
-            if sys == N:
-                ap = _pairs(sys, arg, bounds, depth)
-                by_type: dict[Type, list[Pair]] = {}
-                for p in ap:
-                    by_type.setdefault(p[1], []).append(p)
-                for fenv, fty in fp:
-                    if not isinstance(fty, Arrow):
-                        continue
-                    for fam_env in _match_family(by_type, fty.dom, bounds.card):
-                        put(env_sum([fenv, fam_env]), fty.cod)
-            else:
-                lookup = _arg_env_lookup(sys, arg, bounds, depth)
-                for fenv, fty in fp:
-                    if sys == V:
-                        if not (isinstance(fty, Multi) and len(fty) == 1
-                                and isinstance(fty.elems[0], Arrow)):
-                            continue
-                        fty = fty.elems[0]
-                    if not isinstance(fty, Arrow):
-                        continue
-                    for aenv in lookup(fty.dom):
-                        put(env_sum([fenv, aenv]), fty.cod)
-        case Sub(_, body, arg):
-            name = _opening(depth)
-            bp = _pairs(sys, open_var(body, name), bounds, depth + 1)
-            if sys == N:
-                ap = _pairs(sys, arg, bounds, depth)
-                by_type = {}
-                for p in ap:
-                    by_type.setdefault(p[1], []).append(p)
-                for benv, bty in bp:
-                    for fam_env in _match_family(by_type, benv.get(name), bounds.card):
-                        put(env_sum([benv.without(name), fam_env]), bty)
-            else:
-                lookup = _arg_env_lookup(sys, arg, bounds, depth)
-                for benv, bty in bp:
-                    for aenv in lookup(benv.get(name)):
-                        put(env_sum([benv.without(name), aenv]), bty)
-        case Bang(inner):
-            if sys == B:
-                sub = [p for p in _pairs(sys, inner, bounds, depth)
-                       if _depth(p[1]) < bounds.depth]
-                for fam, env in _family_combos(sub, range(0, bounds.card + 1), bounds.card):
-                    put(env, Multi(tuple(p[1] for p in fam)))
-        case Der(inner):
-            if sys == B:
-                for env, ty in _pairs(sys, inner, bounds, depth):
-                    if isinstance(ty, Multi) and len(ty) == 1:
-                        put(env, ty.elems[0])
-        case _:
-            raise TypeError(t)
-    return tuple(out)
+    def at(u: Term, d: int):
+        return lambda want: _envs_at(sys, u, want, bounds, d)
 
-
-def _arg_env_lookup(sys: str, arg: Term, bounds: Bounds, depth: int):
-    """Type-indexed access to the environments typing an argument.
-
-    Bang arguments (B) and variable arguments (V) are resolved on
-    demand, so deep element types stay reachable there; other arguments
-    are enumerated once and indexed."""
-    if (sys == B and isinstance(arg, Bang)) or (sys == V and isinstance(arg, Var)):
-        return lambda m: _envs_at(sys, arg, m, bounds, depth)
-    table: dict[Type, list[Env]] = {}
-    for e, ty in _pairs(sys, arg, bounds, depth):
-        table.setdefault(ty, []).append(e)
-    return lambda m: table.get(m, ())
+    return tuple(dict.fromkeys((r[0], r[1]) for r in _rules(sys, t, bounds, depth, items, at)))
 
 
 @lru_cache(maxsize=None)
-def _envs_at(sys: str, t: Term, want: Type, bounds: Bounds, depth: int) -> tuple[Env, ...]:
-    """Environments typing t exactly at `want`.
-
-    Argument premises are demand-driven through bangs: the wanted
-    multitype's elements become premise goals directly, so deep element
-    types are reachable there without widening the blind enumeration."""
-    if sys == V and isinstance(t, Var) and isinstance(want, Multi):
-        if _acceptable_var_multi(want, bounds):
-            return (Env(((t.name, want),)),)
-        return ()
-    if sys == B and isinstance(t, Bang) and isinstance(want, Multi):
-        groups: dict[Type, int] = {}
-        for ty in want.elems:
-            groups[ty] = groups.get(ty, 0) + 1
-        options: list[list[Env]] = []
-        for ty, count in groups.items():
-            envs = _envs_at(sys, t.inner, ty, bounds, depth)
-            if not envs:
-                return ()
-            options.append([env_sum(combo) for combo in
-                            itertools.combinations_with_replacement(envs, count)])
-        out: dict[Env, None] = {}
-        for choice in itertools.product(*options):
-            env = env_sum(choice)
-            if _env_fits(env, bounds.card):
-                out[env] = None
-        return tuple(out)
-    return tuple(e for e, ty in _pairs(sys, t, bounds, depth) if ty == want)
-
-
-def _match_family(by_type: dict[Type, list[Pair]], m: Multi, card: int) -> Iterator[Env]:
-    """Environments of premise families typing one argument at each
-    element of m (N-style app/es)."""
-    groups: dict[Type, int] = {}
-    for ty in m.elems:
-        groups[ty] = groups.get(ty, 0) + 1
-    options: list[list[Env]] = []
-    for ty, count in groups.items():
-        cands = by_type.get(ty)
-        if not cands:
-            return
-        options.append([env_sum([p[0] for p in combo])
-                        for combo in itertools.combinations_with_replacement(cands, count)])
-    for choice in itertools.product(*options):
-        env = env_sum(choice)
-        if _env_fits(env, card):
-            yield env
+def _envs_at(sys: str, t: Term, want: Type, bounds: Bounds, depth: int) -> tuple[Pair, ...]:
+    """The (env, want) typings of t, deduplicated: from _rules_at for a
+    demand-driven t, else filtered from its table."""
+    if not _demand_driven(sys, t):
+        return tuple(p for p in _pairs(sys, t, bounds, depth) if p[1] == want)
+    inner = (lambda ty: _envs_at(sys, t.inner, ty, bounds, depth)) if sys == B else None
+    return tuple(dict.fromkeys((r[0], r[1]) for r in _rules_at(sys, t, want, bounds, inner)))
 
 
 def typing_pairs(sys: str, t: Term, bounds: Bounds = Bounds()) -> frozenset[Pair]:
@@ -875,12 +866,8 @@ def canon_typing(pair: Pair, bounds: Bounds = Bounds()) -> Pair:
             rename_tvars(ty, mapping))
 
 
-def canonical_typing_set(sys: str, t: Term, bounds: Bounds = Bounds()) -> frozenset[Pair]:
-    return frozenset(canon_typing(p, bounds) for p in typing_pairs(sys, t, bounds))
-
-
 # ---------------------------------------------------------------------------
-# Derivation enumeration (lazy; mirrors _pairs)
+# Derivation enumeration: the lazy consumer of _rules (_pairs is the memoised one)
 
 
 def typings_enumerate(sys: str, t: Term, bounds: Bounds = Bounds()) -> Iterator[Derivation]:
@@ -890,180 +877,27 @@ def typings_enumerate(sys: str, t: Term, bounds: Bounds = Bounds()) -> Iterator[
     the bounds: axiom types come from the bounded universe and each
     formed multiset has at most `card` elements.
     """
-    yield from _derive(sys, t, bounds, 0)
+    def derived(u: Term, instances) -> Iterator[tuple[Env, Type, Derivation]]:
+        for env, ty, rule, premises, binder in instances:
+            yield env, ty, Derivation(sys, rule, Judgment(env, u, ty),
+                                      tuple([p[2] for p in premises]), binder)
 
+    def items(u: Term, d: int) -> Iterator[tuple[Env, Type, Derivation]]:
+        return derived(u, _rules(sys, u, bounds, d, items, at))
 
-def _derive(sys: str, t: Term, bounds: Bounds, depth: int) -> Iterator[Derivation]:
-    match t:
-        case Var(x):
-            if sys == V:
-                for m in _value_var_multis(bounds):
-                    yield Derivation(sys, "var", Judgment(Env(((x, m),)), t, m))
-            else:
-                for ty in type_universe(bounds):
-                    yield Derivation(sys, "var", Judgment(Env(((x, multi(ty)),)), t, ty))
-        case Abs(_, body):
-            name = _opening(depth)
-            opened = open_var(body, name)
-            if sys == V:
-                subs = [d for d in _derive(sys, opened, bounds, depth + 1)
-                        if _depth(Arrow(d.conclusion.env.get(name), d.conclusion.type))
-                        <= bounds.depth]
-                for fam in _multisets(subs, range(0, bounds.card + 1), bounds.card,
-                                      env_of=lambda d: d.conclusion.env.without(name)):
-                    env = env_sum([d.conclusion.env.without(name) for d in fam])
-                    if not _env_fits(env, bounds.card):
-                        continue
-                    ty = Multi(tuple(Arrow(d.conclusion.env.get(name), d.conclusion.type)
-                                     for d in fam))
-                    yield Derivation(sys, "abs", Judgment(env, t, ty), tuple(fam), binder=name)
-            else:
-                for d in _derive(sys, opened, bounds, depth + 1):
-                    env = d.conclusion.env
-                    made = Arrow(env.get(name), d.conclusion.type)
-                    yield Derivation(sys, "abs", Judgment(env.without(name), t, made),
-                                     (d,), binder=name)
-        case App(fun, arg):
-            if sys == N:
-                by_type: dict[Type, list[Derivation]] = {}
-                for d in _derive(sys, arg, bounds, depth):
-                    by_type.setdefault(d.conclusion.type, []).append(d)
-            else:
-                arg_lookup = _arg_derivation_lookup(sys, arg, bounds, depth)
-            for fd in _derive(sys, fun, bounds, depth):
-                fty = fd.conclusion.type
-                if sys == V:
-                    if not (isinstance(fty, Multi) and len(fty) == 1
-                            and isinstance(fty.elems[0], Arrow)):
-                        continue
-                    fty = fty.elems[0]
-                if not isinstance(fty, Arrow):
-                    continue
-                if sys == N:
-                    for fam in _type_matched_families(by_type, fty.dom):
-                        env = env_sum([fd.conclusion.env] + [d.conclusion.env for d in fam])
-                        if _env_fits(env, bounds.card):
-                            yield Derivation(sys, "app", Judgment(env, t, fty.cod),
-                                             (fd, *fam))
-                else:
-                    for ad in arg_lookup(fty.dom):
-                        env = env_sum([fd.conclusion.env, ad.conclusion.env])
-                        if _env_fits(env, bounds.card):
-                            yield Derivation(sys, "app", Judgment(env, t, fty.cod), (fd, ad))
-        case Sub(_, body, arg):
-            name = _opening(depth)
-            opened = open_var(body, name)
-            if sys == N:
-                by_type = {}
-                for d in _derive(sys, arg, bounds, depth):
-                    by_type.setdefault(d.conclusion.type, []).append(d)
-            else:
-                arg_lookup = _arg_derivation_lookup(sys, arg, bounds, depth)
-            for bd in _derive(sys, opened, bounds, depth + 1):
-                m = bd.conclusion.env.get(name)
-                base = bd.conclusion.env.without(name)
-                if sys == N:
-                    for fam in _type_matched_families(by_type, m):
-                        env = env_sum([base] + [d.conclusion.env for d in fam])
-                        if _env_fits(env, bounds.card):
-                            yield Derivation(sys, "es",
-                                             Judgment(env, t, bd.conclusion.type),
-                                             (bd, *fam), binder=name)
-                else:
-                    for ad in arg_lookup(m):
-                        env = env_sum([base, ad.conclusion.env])
-                        if _env_fits(env, bounds.card):
-                            yield Derivation(sys, "es", Judgment(env, t, bd.conclusion.type),
-                                             (bd, ad), binder=name)
-        case Bang(inner):
-            if sys == B:
-                subs = [d for d in _derive(sys, inner, bounds, depth)
-                        if _depth(d.conclusion.type) < bounds.depth]
-                for fam in _multisets(subs, range(0, bounds.card + 1), bounds.card):
-                    env = env_sum([d.conclusion.env for d in fam])
-                    if not _env_fits(env, bounds.card):
-                        continue
-                    yield Derivation(sys, "bang",
-                                     Judgment(env, t, Multi(tuple(d.conclusion.type for d in fam))),
-                                     tuple(fam))
-        case Der(inner):
-            if sys == B:
-                for d in _derive(sys, inner, bounds, depth):
-                    ty = d.conclusion.type
-                    if isinstance(ty, Multi) and len(ty) == 1:
-                        yield Derivation(sys, "der",
-                                         Judgment(d.conclusion.env, t, ty.elems[0]), (d,))
-        case Idx():
-            raise ValueError("enumeration requires a locally closed subject")
-        case _:
-            raise TypeError(t)
+    def at(u: Term, d: int):
+        inner = _lookup(sys, u.inner, d, items, at) if sys == B else None
+        found: dict[Type, list] = {}
 
-
-def _multisets(items: list, sizes, card: int, env_of=None) -> Iterator[tuple]:
-    if env_of is None:
-        env_of = lambda d: d.conclusion.env
-    yield from _grouped_multisets(items, sizes, card, env_of)
-
-
-def _arg_derivation_lookup(sys: str, arg: Term, bounds: Bounds, depth: int):
-    """Type-indexed access to argument derivations, demand-driven through
-    bangs (B) and variables (V), with per-site caching."""
-    if sys == V and isinstance(arg, Var):
-        def var_get(m: Type):
-            if isinstance(m, Multi) and _acceptable_var_multi(m, bounds):
-                return (Derivation(sys, "var",
-                                   Judgment(Env(((arg.name, m),)), arg, m)),)
-            return ()
-        return var_get
-    if sys == B and isinstance(arg, Bang):
-        inner_get = _arg_derivation_lookup(sys, arg.inner, bounds, depth)
-        cache: dict[Type, tuple] = {}
-
-        def bang_get(m: Type):
-            if not isinstance(m, Multi):
-                return ()
-            hit = cache.get(m)
+        def get(want: Type) -> list:
+            hit = found.get(want)
             if hit is None:
-                hit = cache[m] = tuple(_bang_families(sys, arg, m, inner_get, bounds))
+                hit = found[want] = list(derived(u, _rules_at(sys, u, want, bounds, inner)))
             return hit
-        return bang_get
-    table: dict[Type, list[Derivation]] = {}
-    for d in _derive(sys, arg, bounds, depth):
-        table.setdefault(d.conclusion.type, []).append(d)
-    return lambda m: table.get(m, ())
+        return get
 
-
-def _bang_families(sys: str, t: Term, want: Multi, inner_get, bounds: Bounds
-                   ) -> Iterator[Derivation]:
-    groups: dict[Type, int] = {}
-    for ty in want.elems:
-        groups[ty] = groups.get(ty, 0) + 1
-    options = []
-    for ty, count in groups.items():
-        cands = list(inner_get(ty))
-        if not cands:
-            return
-        options.append(list(itertools.combinations_with_replacement(cands, count)))
-    for choice in itertools.product(*options):
-        fam = tuple(d for combo in choice for d in combo)
-        env = env_sum([d.conclusion.env for d in fam])
-        if _env_fits(env, bounds.card):
-            yield Derivation(sys, "bang", Judgment(env, t, want), fam)
-
-
-def _type_matched_families(by_type: dict[Type, list[Derivation]], m: Multi
-                           ) -> Iterator[tuple[Derivation, ...]]:
-    groups: dict[Type, int] = {}
-    for ty in m.elems:
-        groups[ty] = groups.get(ty, 0) + 1
-    options = []
-    for ty, count in groups.items():
-        cands = by_type.get(ty)
-        if not cands:
-            return
-        options.append(list(itertools.combinations_with_replacement(cands, count)))
-    for choice in itertools.product(*options):
-        yield tuple(d for combo in choice for d in combo)
+    for it in items(t, 0):
+        yield it[2]
 
 
 def find_derivation(sys: str, t: Term, typing: Pair, bounds: Bounds = Bounds()

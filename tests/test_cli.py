@@ -136,6 +136,13 @@ def test_testable_malformed_env(capsys):
     assert "'x'" in err and "name:type" in err
 
 
+def test_typings_bad_bounds(capsys):
+    for flag, value in (("--pool", "9"), ("--pool", "0"), ("--depth", "0"), ("--card", "0")):
+        code, _, err = run(capsys, "typings", "x", flag, value)
+        assert code == 2 and err.startswith("error:") and err.count("\n") == 1
+        assert flag[2:] in err
+
+
 def test_prop_test_exit_and_determinism(capsys):
     code, out1, _ = run(capsys, "--json", "prop-test", "--suite", "measure",
                         "--seed", "3", "--count", "30")

@@ -109,6 +109,15 @@ def test_enumeration_relevance():
             assert check_derivation(d) is None
 
 
+def test_derivations_conclude_exactly_the_typing_pairs():
+    # the lazy derivations and the memoised tables run the same rules
+    for sys in (B, N, V):
+        for t in enum_terms(4):
+            ds = list(typings_enumerate(sys, t))
+            assert {d.conclusion.typing for d in ds} == typing_pairs(sys, t), (sys, t)
+            assert all(check_derivation(d) is None for d in ds), (sys, t)
+
+
 def test_bang_always_empty_typable():
     ds = list(typings_enumerate(B, p("!u")))
     assert any(d.conclusion.typing == (EMPTY_ENV, EMPTY_MULTI) for d in ds)
