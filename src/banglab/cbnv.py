@@ -23,13 +23,11 @@ from . import meaning, reduction
 from .meaning import Budgets, MeaningVerdict, MEANINGFUL, UNKNOWN
 from .reduction import CBN, CBV, ReduceOutcome, is_value
 from .syntax import (Abs, App, AppArg, AppFun, AbsBody, Bang, BangInner, Ctx,
-                     Der, DerInner, FULL, Idx, Sub, SubArg, SubBody, Term,
+                     Der, DerInner, FULL, I, Idx, Sub, SubArg, SubBody, Term,
                      TESTING, Var, alpha_eq, fresh_name, free_vars, lam,
                      open_var, peel_subs, plug, print_term, rebuild_subs)
 # Not called here; bench/instrument.py wraps these two names in this module.
 from .syntax import shift_free, subst_bound  # noqa: F401
-
-I = lam("z", Var("z"))
 
 
 def is_cterm(t: Term) -> bool:
@@ -55,11 +53,6 @@ def require_cterm(t: Term):
 
 # ---------------------------------------------------------------------------
 # Reduction: the engine of `reduction` under the CBN and CBV closures
-
-
-def c_redex_positions(tag: str, t: Term) -> list[tuple[tuple[int, ...], Term]]:
-    """Surface redexes of the tagged calculus, leftmost-outermost order."""
-    return [(r.position, r.contractum) for r in reduction.redexes(t, tag)]
 
 
 def c_step(tag: str, t: Term, policy="leftmost-outermost") -> Optional[Term]:

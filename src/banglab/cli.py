@@ -291,6 +291,9 @@ def main(argv=None) -> int:
     except (ParseError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except RecursionError:
+        print("error: term nested too deeply", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -21,14 +21,12 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, Optional
 
-from .syntax import App, Bang, Der, Term, Var, lam, parse_term
+from .syntax import App, Bang, Der, I, Term, Var, lam
 from .typesys import (Arrow, B, Bounds, Derivation, EMPTY_ENV, EMPTY_MULTI,
                       Env, Multi, N, TVar, Type, V, args,
                       find_derivation, multi, typing_pairs)
 
 INHABITED, NOT_INHABITED, UNKNOWN = "inhabited", "not-inhabited", "unknown"
-
-_ID = parse_term("\\z.z")
 
 
 @dataclass(frozen=True)
@@ -163,7 +161,7 @@ def _gen_goal(sys: str, env: Env, goal: Type, size: int, depth: int) -> Iterator
     if isinstance(goal, Multi) and sys == B:
         if not goal.elems:
             if env == EMPTY_ENV:
-                yield Bang(_ID)
+                yield Bang(I)
             return
         first, *rest = goal.elems
         for split in _env_splits(env, len(goal.elems)):
@@ -186,7 +184,7 @@ def _gen_goal(sys: str, env: Env, goal: Type, size: int, depth: int) -> Iterator
                         yield App(fun, arg)
         else:
             for fun in _gen_goal(sys, env, Arrow(EMPTY_MULTI, goal), size - 3, depth):
-                yield App(fun, _ID)
+                yield App(fun, I)
 
 
 @lru_cache(maxsize=None)
@@ -220,7 +218,7 @@ def inhabit(sys: str, goal: Type, bounds: InhBounds = InhBounds()) -> InhResult:
 def _inhabit_n_multi(goal: Multi, bounds: InhBounds) -> InhResult:
     """N-multitypes need one witness typed at every element."""
     if not goal.elems:
-        return InhResult(INHABITED, witness=_ID)
+        return InhResult(INHABITED, witness=I)
     for e in goal.elems:
         r = _shape_refutation(N, e)
         if r is not None:
@@ -239,7 +237,7 @@ def _inhabit_n_multi(goal: Multi, bounds: InhBounds) -> InhResult:
 def _inhabit_v(goal: Type, bounds: InhBounds) -> InhResult:
     assert isinstance(goal, Multi)
     if not goal.elems:
-        return InhResult(INHABITED, witness=_ID)
+        return InhResult(INHABITED, witness=I)
     if any(not isinstance(e, Arrow) for e in goal.elems):
         return InhResult(NOT_INHABITED,
                          reason="value witnesses receive multisets of arrows only")

@@ -38,7 +38,6 @@ class Budgets:
     type_bounds: Bounds = Bounds()
     inh_bounds: InhBounds = InhBounds()
     max_typings: int = 2000
-    ctx_depth: int = 3
 
 
 @dataclass(frozen=True)

@@ -107,7 +107,3 @@ def ms_gt(a: NatMultiset, b: NatMultiset) -> bool:
         return False
     top = max(lost)
     return all(top > g for g in gained)
-
-
-def ms_ge(a: NatMultiset, b: NatMultiset) -> bool:
-    return a == b or ms_gt(a, b)

@@ -683,11 +683,6 @@ class Ctx:
     def __str__(self) -> str:
         return print_term(plug(self, _Hole()))
 
-    def compose(self, inner: "Ctx") -> "Ctx":
-        """Plug `inner` into this context's hole (kinds must agree or widen)."""
-        return Ctx(inner.kind if inner.kind == self.kind else _widest(self.kind, inner.kind),
-                   self.frames + inner.frames)
-
     def hole_position(self) -> Position:
         pos = []
         for f in self.frames:
@@ -705,11 +700,6 @@ class Ctx:
                 case BangInner() | DerInner():
                     pos.append(0)
         return tuple(pos)
-
-
-def _widest(a: str, b: str) -> str:
-    order = [LIST, TESTING, SURFACE, FULL]
-    return max(a, b, key=order.index)
 
 
 def _testing_ok(frames: Sequence[Frame]) -> bool:

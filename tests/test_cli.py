@@ -26,6 +26,13 @@ def test_usage_error_exit_code(capsys):
     assert code == 2 and "error" in err
 
 
+def test_deep_term_is_a_usage_error(capsys):
+    # 600 levels overflow print_term, 1,500 already overflow parse_term.
+    for depth in (600, 1500):
+        code, out, err = run(capsys, "parse", "!" * depth + "x")
+        assert code == 2 and out == "" and err == "error: term nested too deeply\n"
+
+
 def test_unknown_subcommand(capsys):
     assert run(capsys, "frobnicate")[0] == 2
 
@@ -144,14 +151,15 @@ def test_typings_bad_bounds(capsys):
 
 
 def test_prop_test_exit_and_determinism(capsys):
-    code, out1, _ = run(capsys, "--json", "prop-test", "--suite", "measure",
-                        "--seed", "3", "--count", "30")
-    assert code == 0
-    code, out2, _ = run(capsys, "--json", "prop-test", "--suite", "measure",
-                        "--seed", "3", "--count", "30")
-    d1, d2 = json.loads(out1), json.loads(out2)
-    d1.pop("elapsed_s"), d2.pop("elapsed_s")
-    assert d1 == d2 and d1["fail"] == 0
+    for suite in ("measure", "confluence"):
+        code, out1, _ = run(capsys, "--json", "prop-test", "--suite", suite,
+                            "--seed", "3", "--count", "30")
+        assert code == 0
+        code, out2, _ = run(capsys, "--json", "prop-test", "--suite", suite,
+                            "--seed", "3", "--count", "30")
+        d1, d2 = json.loads(out1), json.loads(out2)
+        d1.pop("elapsed_s"), d2.pop("elapsed_s")
+        assert d1 == d2 and d1["fail"] == 0
 
 
 def test_seed_env_var(capsys, monkeypatch):

@@ -1,7 +1,7 @@
 import hypothesis
 import hypothesis.strategies as st
 
-from banglab.measures import EMPTY, NatMultiset, ms_ge, ms_gt, multi_size, pot_mult
+from banglab.measures import EMPTY, NatMultiset, ms_gt, multi_size, pot_mult
 from banglab.reduction import SBANG_ONLY, restricted_step
 from banglab.syntax import Var, enum_terms, free_vars, gen_term, parse_term
 
