@@ -3,7 +3,7 @@
 Subcommands cover parsing, reduction, classification, measures, typing,
 inhabitation, meaningfulness, the call-by-name/value embeddings, and
 the seeded property suites.  Exit codes: 0 success, 1 property failure,
-2 usage error.
+2 usage error, 141 when the reader of standard output goes away early.
 """
 
 from __future__ import annotations
@@ -287,7 +287,14 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
     try:
-        return ns.fn(ns)
+        code = ns.fn(ns)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader closed the pipe (as `| head` does): drop the rest of
+        # the output, so that the flush at exit does not fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (ParseError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

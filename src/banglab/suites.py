@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import Callable
 
@@ -165,10 +165,10 @@ def suite_measure(cfg: SuiteConfig) -> Report:
 
 
 def suite_grammar(cfg: SuiteConfig) -> Report:
+    cfg = replace(cfg, size_bound=min(cfg.size_bound, 7))  # the report shows the bound run
     r = Report(cfg.suite, "grammar classification matches: in the clash-free NF "
                           "grammar iff no surface redex and no surface clash", cfg)
-    bound = min(cfg.size_bound, 7)
-    for t in enum_terms(bound):
+    for t in enum_terms(cfg.size_bound):
         in_grammar = reduction.classify(t).in_no_s
         operational = (not reduction.redexes(t, reduction.SURFACE)
                        and not reduction.static_clashes(t, reduction.SURFACE))
@@ -184,12 +184,12 @@ def suite_grammar(cfg: SuiteConfig) -> Report:
 
 
 def suite_typability(cfg: SuiteConfig) -> Report:
+    cfg = replace(cfg, size_bound=min(cfg.size_bound, 6))  # the report shows the bound run
     r = Report(cfg.suite, "typable iff surface-reducing to a clash-free normal "
                           "form: canonical NF derivations versus shape "
                           "refutations, exhaustively", cfg)
-    bound = min(cfg.size_bound, 6)
     undecided = 0
-    for t in enum_terms(bound):
+    for t in enum_terms(cfg.size_bound):
         verdict = typesys.typable(t, cfg.fuel)
         if verdict == "unknown":
             r.skip()
@@ -266,10 +266,10 @@ def suite_simulation(cfg: SuiteConfig) -> Report:
 
 
 def suite_transfer(cfg: SuiteConfig) -> Report:
+    cfg = replace(cfg, size_bound=min(cfg.size_bound, 6))  # the report shows the bound run
     r = Report(cfg.suite, "typability and meaningfulness agree across the "
                           "embeddings (grid typing sets; decided verdicts)", cfg)
-    bound = min(cfg.size_bound, 6)
-    for t in enum_terms(bound, ("x", "y"), bang_free=True):
+    for t in enum_terms(cfg.size_bound, ("x", "y"), bang_free=True):
         ok_n = grid_typing_set(N, t, cfg.bounds) == grid_typing_set(
             B, cbnv.embed(cbnv.CBN, t), cfg.bounds)
         ok_v = grid_typing_set(V, t, cfg.bounds) == grid_typing_set(

@@ -125,38 +125,34 @@ def fresh_name(base: str, used) -> str:
 
 def free_vars(t: Term) -> frozenset[str]:
     """Free (named) variables of a term."""
-    match t:
-        case Var(name):
-            return frozenset((name,))
-        case Idx() | _Hole():
-            return frozenset()
-        case Abs(_, body):
-            return free_vars(body)
-        case App(fun, arg):
-            return free_vars(fun) | free_vars(arg)
-        case Sub(_, body, arg):
-            return free_vars(body) | free_vars(arg)
-        case Bang(inner) | Der(inner):
-            return free_vars(inner)
-    raise TypeError(t)
+    names, stack = set(), [t]
+    while stack:
+        u = stack.pop()
+        kind = type(u)
+        if kind is Var:
+            names.add(u.name)
+        elif kind is not _Hole:
+            stack.extend(children(u))
+    return frozenset(names)
 
 
 def max_free_index(t: Term, depth: int = 0) -> int:
     """Largest dangling de Bruijn index (negative if locally closed)."""
-    match t:
-        case Var():
-            return -1
-        case Idx(k):
-            return k - depth
-        case Abs(_, body):
-            return max_free_index(body, depth + 1)
-        case App(fun, arg):
-            return max(max_free_index(fun, depth), max_free_index(arg, depth))
-        case Sub(_, body, arg):
-            return max(max_free_index(body, depth + 1), max_free_index(arg, depth))
-        case Bang(inner) | Der(inner):
-            return max_free_index(inner, depth)
-    raise TypeError(t)
+    found, stack = [], [(t, depth)]
+    while stack:
+        u, d = stack.pop()
+        kind = type(u)
+        if kind is Var:
+            found.append(-1)
+        elif kind is Idx:
+            found.append(u.k - d)
+        elif kind is Abs or kind is Sub:
+            body, *rest = children(u)
+            stack.append((body, d + 1))
+            stack += [(c, d) for c in rest]
+        else:
+            stack += [(c, d) for c in children(u)]
+    return max(found)
 
 
 def map_leaves(t: Term, leaf: Callable[[Term, int], Term], depth: int = 0) -> Term:

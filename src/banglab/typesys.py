@@ -21,11 +21,13 @@ every formed multiset at `card` elements; everything else is determined
 by the subject term, so the enumerated set is finite and complete
 relative to those choices.  The rules of B, N and V are written once,
 in the generator `_rules`, which yields every last-rule instance for a
-term from the items (env and type first) of its subterms.  It has two
+term from the items (env and type first) of its subterms.  It has three
 consumers: `_pairs`, the memoised, deduplicated typing tables behind
-`typing_pairs`, the transfer checks and inhabitation; and
-`typings_enumerate`, the lazy derivation stream behind `meaningful`,
-`find_derivation` and the CLI.
+`typing_pairs`, the transfer checks and inhabitation; `typings_enumerate`,
+the lazy derivation stream behind `meaningful` and the CLI; and
+`find_derivation`, which rebuilds one derivation top-down from the
+`_pairs` tables, taking at each node the first rule instance that
+concludes the wanted typing.
 """
 
 from __future__ import annotations
@@ -572,6 +574,13 @@ def _value_var_multis(bounds: Bounds) -> tuple[Multi, ...]:
     return tuple(out)
 
 
+@lru_cache(maxsize=None)
+def _var_axioms(bounds: Bounds) -> tuple[tuple[Multi, Type], ...]:
+    """The (multi(ty), ty) axiom types of B and N variables, built once
+    per bounds, in type_universe order."""
+    return tuple((multi(ty), ty) for ty in type_universe(bounds))
+
+
 def _acceptable_var_multi(m: Multi, bounds: Bounds) -> bool:
     uni = type_universe(bounds)
     return len(m) <= bounds.card and all(e in uni for e in m.elems)
@@ -684,8 +693,8 @@ def _opening(depth: int) -> str:
     return f"%{depth}"
 
 
-def _rules(sys: str, t: Term, bounds: Bounds, depth: int, items, at
-           ) -> Iterator[tuple[Env, Type, str, tuple, Optional[str]]]:
+def _rules(sys: str, t: Term, bounds: Bounds, depth: int, items, at,
+           want: Optional[Type] = None) -> Iterator[tuple[Env, Type, str, tuple, Optional[str]]]:
     """Every last-rule instance (env, type, rule, premises, binder) of
     system `sys` typing t within the bounds; t sits under `depth` binders.
 
@@ -693,17 +702,22 @@ def _rules(sys: str, t: Term, bounds: Bounds, depth: int, items, at
     type; premises are items of the immediate subterms.  `items(u, d)`
     gives the items of a subterm u under d binders, and `at(u, d)`, for a
     demand-driven u, a function from a type to the items typing u exactly
-    at it.
+    at it.  Given `want`, premises that cannot lead to an instance of
+    that type are skipped before any env is summed; the other instances
+    keep their order, and the caller still compares each one with `want`.
     """
     card = bounds.card
+    elems = want.elems if isinstance(want, Multi) else ()  # for multitype-forming rules
     match t:
         case Var(x):
             if sys == V:
                 for m in _value_var_multis(bounds):
-                    yield Env(((x, m),)), m, "var", (), None
+                    if want is None or m == want:
+                        yield Env(((x, m),)), m, "var", (), None
             else:
-                for ty in type_universe(bounds):
-                    yield Env(((x, multi(ty)),)), ty, "var", (), None
+                for m, ty in _var_axioms(bounds):
+                    if want is None or ty == want:
+                        yield Env(((x, m),)), ty, "var", (), None
         case Idx():
             raise ValueError("enumeration requires a locally closed subject")
         case Abs(_, body):
@@ -715,14 +729,16 @@ def _rules(sys: str, t: Term, bounds: Bounds, depth: int, items, at
                 folded = []
                 for it in sub:
                     a = Arrow(it[0].get(name), it[1])
-                    if _depth(a) <= bounds.depth:
+                    if (want is None or a in elems) and _depth(a) <= bounds.depth:
                         folded.append((it[0].without(name), a, it))
                 for fam in _grouped_multisets(folded, card):
                     yield (env_sum([f[0] for f in fam]), Multi(tuple(f[1] for f in fam)),
                            "abs", tuple(f[2] for f in fam), name)
             else:
                 for it in sub:
-                    yield it[0].without(name), Arrow(it[0].get(name), it[1]), "abs", (it,), name
+                    a = Arrow(it[0].get(name), it[1])
+                    if want is None or a == want:
+                        yield it[0].without(name), a, "abs", (it,), name
         case App(fun, arg):
             arg_at = _arg_premises(sys, arg, bounds, depth, items, at)
             for f in items(fun, depth):
@@ -732,7 +748,7 @@ def _rules(sys: str, t: Term, bounds: Bounds, depth: int, items, at
                             and isinstance(fty.elems[0], Arrow)):
                         continue
                     fty = fty.elems[0]
-                if not isinstance(fty, Arrow):
+                if not isinstance(fty, Arrow) or (want is not None and fty.cod != want):
                     continue
                 for aenv, fam in arg_at(fty.dom):
                     env = env_sum([f[0], aenv])
@@ -742,13 +758,16 @@ def _rules(sys: str, t: Term, bounds: Bounds, depth: int, items, at
             name = _opening(depth)
             arg_at = _arg_premises(sys, arg, bounds, depth, items, at)
             for b in items(open_var(body, name), depth + 1):
+                if want is not None and b[1] != want:
+                    continue
                 for aenv, fam in arg_at(b[0].get(name)):
                     env = env_sum([b[0].without(name), aenv])
                     if _env_fits(env, card):
                         yield env, b[1], "es", (b, *fam), name
         case Bang(inner):
             if sys == B:
-                sub = [it for it in items(inner, depth) if _depth(it[1]) < bounds.depth]
+                sub = [it for it in items(inner, depth)
+                       if (want is None or it[1] in elems) and _depth(it[1]) < bounds.depth]
                 for fam in _grouped_multisets(sub, card):
                     yield (env_sum([it[0] for it in fam]), Multi(tuple(it[1] for it in fam)),
                            "bang", fam, None)
@@ -756,7 +775,8 @@ def _rules(sys: str, t: Term, bounds: Bounds, depth: int, items, at
             if sys == B:
                 for it in items(inner, depth):
                     ty = it[1]
-                    if isinstance(ty, Multi) and len(ty) == 1:
+                    if (isinstance(ty, Multi) and len(ty) == 1
+                            and (want is None or ty.elems[0] == want)):
                         yield it[0], ty.elems[0], "der", (it,), None
         case _:
             raise TypeError(t)
@@ -867,7 +887,7 @@ def canon_typing(pair: Pair, bounds: Bounds = Bounds()) -> Pair:
 
 
 # ---------------------------------------------------------------------------
-# Derivation enumeration: the lazy consumer of _rules (_pairs is the memoised one)
+# Derivations: the lazy consumer of _rules, and the top-down rebuild from _pairs
 
 
 def typings_enumerate(sys: str, t: Term, bounds: Bounds = Bounds()) -> Iterator[Derivation]:
@@ -903,12 +923,45 @@ def typings_enumerate(sys: str, t: Term, bounds: Bounds = Bounds()) -> Iterator[
 def find_derivation(sys: str, t: Term, typing: Pair, bounds: Bounds = Bounds()
                     ) -> Optional[Derivation]:
     """A derivation with the given conclusion typing, if one exists in
-    bounds (compared up to canonical type-variable renaming)."""
+    bounds (compared up to canonical type-variable renaming).
+
+    It is the first such derivation typings_enumerate would yield, but
+    rebuilt top-down from the memoised tables: the first pair of
+    _pairs(t) with the wanted typing, then at each node the first rule
+    instance concluding the wanted pair.  A typing outside the table
+    returns None without enumerating anything."""
     target = canon_typing(typing)
-    for d in typings_enumerate(sys, t, bounds):
-        if canon_typing(d.conclusion.typing) == target:
-            return d
+    for env, ty in _pairs(sys, t, bounds, 0):
+        if canon_typing((env, ty)) == target:
+            return _first_derivation(sys, (env, ty, t, 0, False), bounds)
     return None
+
+
+def _first_derivation(sys: str, item: tuple, bounds: Bounds) -> Derivation:
+    """The first derivation of an item (env, type, term, depth, demanded)
+    in typings_enumerate order.  Its premises are items of the _pairs and
+    _envs_at tables, tagged with their subterm and depth; `demanded`
+    marks an item reached through `at`, whose instances come from
+    _rules_at instead of _rules."""
+    env, ty, u, depth, demanded = item
+
+    def items(v: Term, d: int) -> Iterator[tuple]:
+        return ((e, vt, v, d, False) for e, vt in _pairs(sys, v, bounds, d))
+
+    def at(v: Term, d: int):
+        return lambda want: [(e, want, v, d, True) for e, _ in _envs_at(sys, v, want, bounds, d)]
+
+    if demanded:
+        inner = _lookup(sys, u.inner, depth, items, at) if sys == B else None
+        instances = _rules_at(sys, u, ty, bounds, inner)
+    else:
+        instances = _rules(sys, u, bounds, depth, items, at, ty)
+    for r_env, r_ty, rule, premises, binder in instances:
+        if r_env == env and r_ty == ty:
+            return Derivation(sys, rule, Judgment(env, u, ty),
+                              tuple(_first_derivation(sys, p, bounds) for p in premises),
+                              binder)
+    raise AssertionError(f"no {sys} rule instance concludes a tabled typing of {u!r}")
 
 
 # ---------------------------------------------------------------------------

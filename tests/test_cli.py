@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import banglab
+from banglab import suites
 from banglab.cli import main
 
 
@@ -82,6 +87,56 @@ def test_inhabit(capsys):
     assert data["status"] == "inhabited" and data["witness"] == "!(\\z. z)"
 
 
+def _node(rule, env, term, ty, *premises):
+    return {"system": "B", "rule": rule, "env": env, "term": term, "type": ty,
+            "premises": list(premises)}
+
+
+INHABIT_PINS = {
+    "[a]->[a]": {
+        "status": "inhabited", "reason": "", "witness": "\\w0. !w0",
+        "derivation": _node("abs", {}, "\\w0. !w0", "[a] -> [a]",
+                            _node("bang", {"%0": "[a]"}, "!%0", "[a]",
+                                  _node("var", {"%0": "[a]"}, "%0", "a")))},
+    "[[]]": {
+        "status": "inhabited", "reason": "", "witness": "!!(\\z. z)",
+        "derivation": _node("bang", {}, "!!(\\z. z)", "[[]]",
+                            _node("bang", {}, "!(\\z. z)", "[]"))},
+    "[]->[]": {
+        "status": "inhabited", "reason": "", "witness": "\\w0. !(\\z. z)",
+        "derivation": _node("abs", {}, "\\w0. !(\\z. z)", "[] -> []",
+                            _node("bang", {}, "!(\\z. z)", "[]"))},
+    # the goal is deeper than the typing bounds, so no derivation comes back
+    "[[a]->[a]]": {"status": "inhabited", "reason": "", "witness": "!(\\w0. !w0)"},
+    "[[]]->[[]]": {
+        "status": "inhabited", "reason": "", "witness": "\\w0. !w0",
+        "derivation": _node("abs", {}, "\\w0. !w0", "[[]] -> [[]]",
+                            _node("bang", {"%0": "[[]]"}, "!%0", "[[]]",
+                                  _node("var", {"%0": "[[]]"}, "%0", "[]")))},
+    "[a,a]->[a]": {"status": "unknown", "reason": "no witness within search bounds"},
+}
+
+
+def test_inhabit_json_pinned(capsys):
+    for goal, want in INHABIT_PINS.items():
+        code, out, _ = run(capsys, "--json", "inhabit", "--type", goal)
+        assert code == 0 and out == json.dumps(want, indent=2) + "\n", goal
+
+
+def test_closed_stdout_exits_quietly():
+    # A reader that has gone away, as with `banglab ... | head -c 100`.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(banglab.__file__)))
+    try:
+        proc = subprocess.run([sys.executable, "-m", "banglab.cli", "--json", "inhabit",
+                               "--type", "[a]->[a]"], stdout=write_end,
+                              stderr=subprocess.PIPE, env=env, timeout=60)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 141 and proc.stderr == b""
+
+
 def test_testable(capsys):
     code, out, _ = run(capsys, "testable", "--type", "[]")
     assert out.strip() == "yes"
@@ -160,6 +215,18 @@ def test_prop_test_exit_and_determinism(capsys):
         d1, d2 = json.loads(out1), json.loads(out2)
         d1.pop("elapsed_s"), d2.pop("elapsed_s")
         assert d1 == d2 and d1["fail"] == 0
+
+
+def test_prop_test_reports_the_size_bound_it_ran(capsys, monkeypatch):
+    # grammar, typability and transfer cap the size bound; the report says so
+    seen = []
+    monkeypatch.setattr(suites, "enum_terms", lambda n, *a, **k: seen.append(n) or [])
+    for suite, cap in (("grammar", 7), ("typability", 6), ("transfer", 6)):
+        for size in (cap - 2, cap + 2):
+            code, out, _ = run(capsys, "--json", "prop-test", "--suite", suite,
+                               "--size", str(size))
+            assert code == 0
+            assert json.loads(out)["config"]["size_bound"] == seen[-1] == min(size, cap)
 
 
 def test_seed_env_var(capsys, monkeypatch):

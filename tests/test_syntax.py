@@ -144,6 +144,14 @@ def test_index_maps_survive_deep_terms():
     assert term_size(named) == 1 + DEEP + 2 * DEEP // 5
 
 
+def test_free_vars_and_max_free_index_survive_deep_terms():
+    binders = 2 * DEEP // 5
+    named, dangling = _deep(Var("x")), _deep(Idx(binders + 3))
+    assert free_vars(named) == {"x", "y"} and free_vars(dangling) == {"y"}
+    assert max_free_index(named) == -1
+    assert max_free_index(dangling) == 3 and max_free_index(dangling, 1) == 2
+
+
 def test_plug():
     assert plug(parse_context("[] !y"), I) == p("(\\z.z) !y")
     assert plug(parse_context("der []"), p("!t")) == p("der !t")
