@@ -26,9 +26,7 @@ def _bounds(ns) -> Bounds:
 
 
 def _budgets(ns) -> Budgets:
-    b = _bounds(ns)
-    return Budgets(fuel=ns.fuel, type_bounds=b,
-                   inh_bounds=InhBounds(type_bounds=b))
+    return Budgets(fuel=ns.fuel, type_bounds=_bounds(ns))
 
 
 def _emit(ns, data, text: str):
@@ -124,11 +122,17 @@ def _derivation_from_json(data) -> typesys.Derivation:
     if missing:
         raise ValueError(f"derivation node without {', '.join(missing)}")
     env = typesys.Env(tuple((n, parse_type(s)) for n, s in data.get("env", {}).items()))
+    term = parse_term(data["term"])
+    binder = data.get("binder")
+    if binder is None and data["rule"] in ("abs", "es"):
+        # to_json writes no binder: derivations open each binder with the
+        # name _opening takes from the node's own term
+        binder = typesys._opening(term)
     return typesys.Derivation(
         data["system"], data["rule"],
-        typesys.Judgment(env, parse_term(data["term"]), parse_type(data["type"])),
+        typesys.Judgment(env, term, parse_type(data["type"])),
         tuple(_derivation_from_json(p) for p in data.get("premises", [])),
-        binder=data.get("binder"))
+        binder=binder)
 
 
 def cmd_inhabit(ns) -> int:

@@ -36,7 +36,6 @@ MEANINGFUL, MEANINGLESS, UNKNOWN = "meaningful", "meaningless", "unknown"
 class Budgets:
     fuel: int = 200
     type_bounds: Bounds = Bounds()
-    inh_bounds: InhBounds = InhBounds()
     max_typings: int = 2000
 
 
@@ -167,7 +166,7 @@ def meaningful(t: Term, budgets: Budgets = Budgets()) -> MeaningVerdict:
         count += 1
         if count > budgets.max_typings:
             break
-        ta = testable(B, d.conclusion.typing, budgets.inh_bounds)
+        ta = testable(B, d.conclusion.typing, InhBounds(type_bounds=budgets.type_bounds))
         if ta.verdict != "yes":
             continue
         ctx = build_testing_context(d.conclusion.typing, ta)

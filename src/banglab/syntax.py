@@ -335,6 +335,7 @@ class ParseError(ValueError):
 
 
 _PUNCT = {"\\", ".", "(", ")", "[", "]", "!"}
+_DIGITS = "0123456789"
 
 
 def _tokenize(src: str) -> list[tuple[str, str, int, int]]:
@@ -370,6 +371,15 @@ def _tokenize(src: str) -> list[tuple[str, str, int, int]]:
             word = src[i:j]
             kind = "der" if word == "der" else "ident"
             toks.append((kind, word, line, col))
+            col += j - i
+            i = j
+            continue
+        if c == "%" and i + 1 < n and src[i + 1] in _DIGITS:
+            # %k: the name a typing derivation opens a binder with
+            j = i + 1
+            while j < n and src[j] in _DIGITS:
+                j += 1
+            toks.append(("ident", src[i:j], line, col))
             col += j - i
             i = j
             continue

@@ -28,6 +28,10 @@ the lazy derivation stream behind `meaningful` and the CLI; and
 `find_derivation`, which rebuilds one derivation top-down from the
 `_pairs` tables, taking at each node the first rule instance that
 concludes the wanted typing.
+
+A binder is opened with the `%k` name `_opening` takes from its own
+term, not from where the term occurs, so the tables are keyed by system,
+term and bounds, and a subterm is typed once wherever it occurs.
 """
 
 from __future__ import annotations
@@ -340,7 +344,7 @@ def _fail(path: str, msg: str):
     raise RuleViolation(f"{path}: {msg}")
 
 
-def _fresh_opening(d: Derivation, path: str, body: Term) -> str:
+def _fresh_opening(d: Derivation, path: str) -> str:
     b = d.binder
     if b is None:
         _fail(path, "abs/es node must record its opening variable")
@@ -421,7 +425,7 @@ def _check(d: Derivation, path: str):
         case "abs":
             if not isinstance(c.subject, Abs):
                 _fail(path, "abs subject must be an abstraction")
-            b = _fresh_opening(d, path, c.subject.body)
+            b = _fresh_opening(d, path)
             opened = open_var(c.subject.body, b)
             if sys == V:
                 if not isinstance(c.type, Multi):
@@ -449,7 +453,7 @@ def _check(d: Derivation, path: str):
         case "es":
             if not isinstance(c.subject, Sub):
                 _fail(path, "es subject must be a closure")
-            b = _fresh_opening(d, path, c.subject.body)
+            b = _fresh_opening(d, path)
             opened = open_var(c.subject.body, b)
             arg = c.subject.arg
             if not d.premises:
@@ -678,33 +682,38 @@ def _demand_driven(sys: str, t: Term) -> bool:
     return (sys == B and isinstance(t, Bang)) or (sys == V and isinstance(t, Var))
 
 
-def _lookup(sys: str, u: Term, depth: int, items, at) -> Callable[[Type], Sequence]:
+def _lookup(sys: str, u: Term, items, at) -> Callable[[Type], Sequence]:
     """A function from a type to the items typing u exactly at it: `at`
     for a demand-driven u, else u's items indexed by type once."""
     if _demand_driven(sys, u):
-        return at(u, depth)
+        return at(u)
     table: dict[Type, list] = {}
-    for it in items(u, depth):
+    for it in items(u):
         table.setdefault(it[1], []).append(it)
     return lambda ty: table.get(ty, ())
 
 
-def _opening(depth: int) -> str:
-    return f"%{depth}"
+def _opening(t: Term) -> str:
+    """The name an abs/es node t opens its binder with: one past the
+    largest %k free in t, or %0.  No typing of t mentions it, since the
+    rules drop the binder from every env."""
+    ks = [int(n[1:]) for n in free_vars(t) if n.startswith("%") and n[1:].isdecimal()]
+    return f"%{max(ks, default=-1) + 1}"
 
 
-def _rules(sys: str, t: Term, bounds: Bounds, depth: int, items, at,
+def _rules(sys: str, t: Term, bounds: Bounds, items, at,
            want: Optional[Type] = None) -> Iterator[tuple[Env, Type, str, tuple, Optional[str]]]:
     """Every last-rule instance (env, type, rule, premises, binder) of
-    system `sys` typing t within the bounds; t sits under `depth` binders.
+    system `sys` typing t within the bounds; an abs/es t opens its binder
+    with _opening(t).
 
     An item is any sequence whose first two entries are an env and a
-    type; premises are items of the immediate subterms.  `items(u, d)`
-    gives the items of a subterm u under d binders, and `at(u, d)`, for a
-    demand-driven u, a function from a type to the items typing u exactly
-    at it.  Given `want`, premises that cannot lead to an instance of
-    that type are skipped before any env is summed; the other instances
-    keep their order, and the caller still compares each one with `want`.
+    type; premises are items of the immediate subterms.  `items(u)` gives
+    the items of a subterm u, and `at(u)`, for a demand-driven u, a
+    function from a type to the items typing u exactly at it.  Given
+    `want`, premises that cannot lead to an instance of that type are
+    skipped before any env is summed; the other instances keep their
+    order, and the caller still compares each one with `want`.
     """
     card = bounds.card
     elems = want.elems if isinstance(want, Multi) else ()  # for multitype-forming rules
@@ -721,8 +730,8 @@ def _rules(sys: str, t: Term, bounds: Bounds, depth: int, items, at,
         case Idx():
             raise ValueError("enumeration requires a locally closed subject")
         case Abs(_, body):
-            name = _opening(depth)
-            sub = items(open_var(body, name), depth + 1)
+            name = _opening(t)
+            sub = items(open_var(body, name))
             if sys == V:
                 # Fold the binder into the arrow before combining, so the
                 # card bound applies to the residual environments only.
@@ -740,8 +749,8 @@ def _rules(sys: str, t: Term, bounds: Bounds, depth: int, items, at,
                     if want is None or a == want:
                         yield it[0].without(name), a, "abs", (it,), name
         case App(fun, arg):
-            arg_at = _arg_premises(sys, arg, bounds, depth, items, at)
-            for f in items(fun, depth):
+            arg_at = _arg_premises(sys, arg, bounds, items, at)
+            for f in items(fun):
                 fty = f[1]
                 if sys == V:
                     if not (isinstance(fty, Multi) and len(fty) == 1
@@ -755,9 +764,9 @@ def _rules(sys: str, t: Term, bounds: Bounds, depth: int, items, at,
                     if _env_fits(env, card):
                         yield env, fty.cod, "app", (f, *fam), None
         case Sub(_, body, arg):
-            name = _opening(depth)
-            arg_at = _arg_premises(sys, arg, bounds, depth, items, at)
-            for b in items(open_var(body, name), depth + 1):
+            name = _opening(t)
+            arg_at = _arg_premises(sys, arg, bounds, items, at)
+            for b in items(open_var(body, name)):
                 if want is not None and b[1] != want:
                     continue
                 for aenv, fam in arg_at(b[0].get(name)):
@@ -766,14 +775,14 @@ def _rules(sys: str, t: Term, bounds: Bounds, depth: int, items, at,
                         yield env, b[1], "es", (b, *fam), name
         case Bang(inner):
             if sys == B:
-                sub = [it for it in items(inner, depth)
+                sub = [it for it in items(inner)
                        if (want is None or it[1] in elems) and _depth(it[1]) < bounds.depth]
                 for fam in _grouped_multisets(sub, card):
                     yield (env_sum([it[0] for it in fam]), Multi(tuple(it[1] for it in fam)),
                            "bang", fam, None)
         case Der(inner):
             if sys == B:
-                for it in items(inner, depth):
+                for it in items(inner):
                     ty = it[1]
                     if (isinstance(ty, Multi) and len(ty) == 1
                             and (want is None or ty.elems[0] == want)):
@@ -782,11 +791,11 @@ def _rules(sys: str, t: Term, bounds: Bounds, depth: int, items, at,
             raise TypeError(t)
 
 
-def _arg_premises(sys: str, arg: Term, bounds: Bounds, depth: int, items, at):
+def _arg_premises(sys: str, arg: Term, bounds: Bounds, items, at):
     """A function from a multitype m to the ways (env, premises) of typing
     the argument of an app or es node at m: in N a family with one
     premise per element of m, in B and V one premise of type m."""
-    lookup = _lookup(sys, arg, depth, items, at)
+    lookup = _lookup(sys, arg, items, at)
     if sys == N:
         return lambda m: _families(lookup, m, bounds.card)
     return lambda m: [(a[0], (a,)) for a in lookup(m)]
@@ -810,33 +819,33 @@ def _rules_at(sys: str, t: Term, want: Type, bounds: Bounds, inner
 
 
 @lru_cache(maxsize=None)
-def _pairs(sys: str, t: Term, bounds: Bounds, depth: int) -> tuple[Pair, ...]:
+def _pairs(sys: str, t: Term, bounds: Bounds) -> tuple[Pair, ...]:
     """All (env, type) typings of t within the bounds (deduplicated)."""
     if sys == B and untypable_certificate(t):
         return ()
 
-    def items(u: Term, d: int) -> tuple[Pair, ...]:
-        return _pairs(sys, u, bounds, d)
+    def items(u: Term) -> tuple[Pair, ...]:
+        return _pairs(sys, u, bounds)
 
-    def at(u: Term, d: int):
-        return lambda want: _envs_at(sys, u, want, bounds, d)
+    def at(u: Term):
+        return lambda want: _envs_at(sys, u, want, bounds)
 
-    return tuple(dict.fromkeys((r[0], r[1]) for r in _rules(sys, t, bounds, depth, items, at)))
+    return tuple(dict.fromkeys((r[0], r[1]) for r in _rules(sys, t, bounds, items, at)))
 
 
 @lru_cache(maxsize=None)
-def _envs_at(sys: str, t: Term, want: Type, bounds: Bounds, depth: int) -> tuple[Pair, ...]:
+def _envs_at(sys: str, t: Term, want: Type, bounds: Bounds) -> tuple[Pair, ...]:
     """The (env, want) typings of t, deduplicated: from _rules_at for a
     demand-driven t, else filtered from its table."""
     if not _demand_driven(sys, t):
-        return tuple(p for p in _pairs(sys, t, bounds, depth) if p[1] == want)
-    inner = (lambda ty: _envs_at(sys, t.inner, ty, bounds, depth)) if sys == B else None
+        return tuple(p for p in _pairs(sys, t, bounds) if p[1] == want)
+    inner = (lambda ty: _envs_at(sys, t.inner, ty, bounds)) if sys == B else None
     return tuple(dict.fromkeys((r[0], r[1]) for r in _rules_at(sys, t, want, bounds, inner)))
 
 
 def typing_pairs(sys: str, t: Term, bounds: Bounds = Bounds()) -> frozenset[Pair]:
     """The set of bounded typings of t, deduplicated."""
-    return frozenset(_pairs(sys, t, bounds, 0))
+    return frozenset(_pairs(sys, t, bounds))
 
 
 def on_grid(pair: Pair, limit: int) -> bool:
@@ -853,12 +862,12 @@ def grid_typing_set(sys: str, t: Term, bounds: Bounds = Bounds(),
                     limit: Optional[int] = None) -> frozenset[Pair]:
     if limit is None:
         limit = bounds.depth - 1
-    return frozenset(canon_typing(p, bounds)
+    return frozenset(canon_typing(p)
                      for p in typing_pairs(sys, t, bounds) if on_grid(p, limit))
 
 
 @lru_cache(maxsize=None)
-def canon_typing(pair: Pair, bounds: Bounds = Bounds()) -> Pair:
+def canon_typing(pair: Pair) -> Pair:
     """Rename type variables to the pool prefix in first-occurrence order,
     so typing sets are comparable across terms."""
     env, ty = pair
@@ -902,11 +911,11 @@ def typings_enumerate(sys: str, t: Term, bounds: Bounds = Bounds()) -> Iterator[
             yield env, ty, Derivation(sys, rule, Judgment(env, u, ty),
                                       tuple([p[2] for p in premises]), binder)
 
-    def items(u: Term, d: int) -> Iterator[tuple[Env, Type, Derivation]]:
-        return derived(u, _rules(sys, u, bounds, d, items, at))
+    def items(u: Term) -> Iterator[tuple[Env, Type, Derivation]]:
+        return derived(u, _rules(sys, u, bounds, items, at))
 
-    def at(u: Term, d: int):
-        inner = _lookup(sys, u.inner, d, items, at) if sys == B else None
+    def at(u: Term):
+        inner = _lookup(sys, u.inner, items, at) if sys == B else None
         found: dict[Type, list] = {}
 
         def get(want: Type) -> list:
@@ -916,7 +925,7 @@ def typings_enumerate(sys: str, t: Term, bounds: Bounds = Bounds()) -> Iterator[
             return hit
         return get
 
-    for it in items(t, 0):
+    for it in items(t):
         yield it[2]
 
 
@@ -931,31 +940,31 @@ def find_derivation(sys: str, t: Term, typing: Pair, bounds: Bounds = Bounds()
     instance concluding the wanted pair.  A typing outside the table
     returns None without enumerating anything."""
     target = canon_typing(typing)
-    for env, ty in _pairs(sys, t, bounds, 0):
+    for env, ty in _pairs(sys, t, bounds):
         if canon_typing((env, ty)) == target:
-            return _first_derivation(sys, (env, ty, t, 0, False), bounds)
+            return _first_derivation(sys, (env, ty, t, False), bounds)
     return None
 
 
 def _first_derivation(sys: str, item: tuple, bounds: Bounds) -> Derivation:
-    """The first derivation of an item (env, type, term, depth, demanded)
-    in typings_enumerate order.  Its premises are items of the _pairs and
-    _envs_at tables, tagged with their subterm and depth; `demanded`
-    marks an item reached through `at`, whose instances come from
-    _rules_at instead of _rules."""
-    env, ty, u, depth, demanded = item
+    """The first derivation of an item (env, type, term, demanded) in
+    typings_enumerate order.  Its premises are items of the _pairs and
+    _envs_at tables, tagged with their subterm; `demanded` marks an item
+    reached through `at`, whose instances come from _rules_at instead of
+    _rules."""
+    env, ty, u, demanded = item
 
-    def items(v: Term, d: int) -> Iterator[tuple]:
-        return ((e, vt, v, d, False) for e, vt in _pairs(sys, v, bounds, d))
+    def items(v: Term) -> Iterator[tuple]:
+        return ((e, vt, v, False) for e, vt in _pairs(sys, v, bounds))
 
-    def at(v: Term, d: int):
-        return lambda want: [(e, want, v, d, True) for e, _ in _envs_at(sys, v, want, bounds, d)]
+    def at(v: Term):
+        return lambda want: [(e, want, v, True) for e, _ in _envs_at(sys, v, want, bounds)]
 
     if demanded:
-        inner = _lookup(sys, u.inner, depth, items, at) if sys == B else None
+        inner = _lookup(sys, u.inner, items, at) if sys == B else None
         instances = _rules_at(sys, u, ty, bounds, inner)
     else:
-        instances = _rules(sys, u, bounds, depth, items, at, ty)
+        instances = _rules(sys, u, bounds, items, at, ty)
     for r_env, r_ty, rule, premises, binder in instances:
         if r_env == env and r_ty == ty:
             return Derivation(sys, rule, Judgment(env, u, ty),
@@ -1013,52 +1022,52 @@ def canonical_nf_derivation(t: Term) -> Derivation:
     cls = reduction.classify(t)
     if not cls.in_no_s:
         raise ValueError("subject must be a surface clash-free normal form")
-    return _canon_no(t, 0)
+    return _canon_no(t)
 
 
-def _canon_ne(t: Term, want: Type, depth: int) -> Derivation:
+def _canon_ne(t: Term, want: Type) -> Derivation:
     match t:
         case Var(x):
             return Derivation(B, "var", Judgment(Env(((x, multi(want)),)), t, want))
         case App(fun, arg):
-            fd = _canon_ne(fun, Arrow(EMPTY_MULTI, want), depth)
-            ad = _canon_na_empty(arg, depth)
+            fd = _canon_ne(fun, Arrow(EMPTY_MULTI, want))
+            ad = _canon_na_empty(arg)
             env = env_sum([fd.conclusion.env, ad.conclusion.env])
             return Derivation(B, "app", Judgment(env, t, want), (fd, ad))
         case Der(inner):
-            pd = _canon_ne(inner, multi(want), depth)
+            pd = _canon_ne(inner, multi(want))
             return Derivation(B, "der", Judgment(pd.conclusion.env, t, want), (pd,))
         case Sub(_, body, arg):
-            name = _opening(depth)
-            bd = _canon_ne(open_var(body, name), want, depth + 1)
+            name = _opening(t)
+            bd = _canon_ne(open_var(body, name), want)
             m = bd.conclusion.env.get(name)
-            ad = _canon_ne(arg, m, depth)
+            ad = _canon_ne(arg, m)
             env = env_sum([bd.conclusion.env.without(name), ad.conclusion.env])
             return Derivation(B, "es", Judgment(env, t, want), (bd, ad), binder=name)
     raise ValueError(f"not a neutral term: {t!r}")
 
 
-def _canon_na_empty(t: Term, depth: int) -> Derivation:
+def _canon_na_empty(t: Term) -> Derivation:
     """Type an argument-position normal form with the empty multitype."""
     match t:
         case Bang(_):
             return Derivation(B, "bang", Judgment(EMPTY_ENV, t, EMPTY_MULTI))
         case Sub(_, body, arg):
-            name = _opening(depth)
-            bd = _canon_na_empty(open_var(body, name), depth + 1)
+            name = _opening(t)
+            bd = _canon_na_empty(open_var(body, name))
             m = bd.conclusion.env.get(name)
-            ad = _canon_ne(arg, m, depth)
+            ad = _canon_ne(arg, m)
             env = env_sum([bd.conclusion.env.without(name), ad.conclusion.env])
             return Derivation(B, "es", Judgment(env, t, EMPTY_MULTI), (bd, ad), binder=name)
         case _:
-            return _canon_ne(t, EMPTY_MULTI, depth)
+            return _canon_ne(t, EMPTY_MULTI)
 
 
-def _canon_no(t: Term, depth: int) -> Derivation:
+def _canon_no(t: Term) -> Derivation:
     match t:
         case Abs(_, body):
-            name = _opening(depth)
-            bd = _canon_no(open_var(body, name), depth + 1)
+            name = _opening(t)
+            bd = _canon_no(open_var(body, name))
             m = bd.conclusion.env.get(name)
             return Derivation(
                 B, "abs",
@@ -1067,15 +1076,15 @@ def _canon_no(t: Term, depth: int) -> Derivation:
         case Bang(_):
             return Derivation(B, "bang", Judgment(EMPTY_ENV, t, EMPTY_MULTI))
         case Sub(_, body, arg):
-            name = _opening(depth)
-            bd = _canon_no(open_var(body, name), depth + 1)
+            name = _opening(t)
+            bd = _canon_no(open_var(body, name))
             m = bd.conclusion.env.get(name)
-            ad = _canon_ne(arg, m, depth)
+            ad = _canon_ne(arg, m)
             env = env_sum([bd.conclusion.env.without(name), ad.conclusion.env])
             return Derivation(B, "es", Judgment(env, t, bd.conclusion.type),
                               (bd, ad), binder=name)
         case _:
-            return _canon_ne(t, EMPTY_MULTI, depth)
+            return _canon_ne(t, EMPTY_MULTI)
 
 
 # ---------------------------------------------------------------------------

@@ -182,6 +182,23 @@ def test_check_derivation_roundtrip(capsys, tmp_path, monkeypatch):
     assert code == 0 and out.strip() == "ok"
 
 
+def test_check_derivation_reads_printed_derivations(capsys, tmp_path):
+    # the JSON prints opened bodies such as !%0 and no binder field
+    printed = []
+    for term in ("\\x.\\y.x", "(\\x.!x)[y<-!z]"):
+        code, out, _ = run(capsys, "--json", "typings", term, "--limit", "20")
+        assert code == 0
+        printed += out.splitlines()
+    code, out, _ = run(capsys, "--json", "inhabit", "--type", "[a]->[a]")
+    printed.append(json.dumps(json.loads(out)["derivation"]))
+    assert any("%0" in d for d in printed)
+    path = tmp_path / "d.json"
+    for d in printed:
+        path.write_text(d)
+        code, out, _ = run(capsys, "check-derivation", str(path))
+        assert code == 0 and out.strip() == "ok", d
+
+
 def test_check_derivation_bad_input(capsys, tmp_path):
     missing = tmp_path / "missing.json"
     incomplete = tmp_path / "incomplete.json"

@@ -3,7 +3,7 @@ import hypothesis.strategies as st
 import pytest
 
 from banglab import reduction
-from banglab.syntax import Bang, Var, enum_terms, gen_term, parse_term
+from banglab.syntax import Abs, App, Bang, Idx, Var, enum_terms, gen_term, parse_term
 from banglab.typesys import (Arrow, B, Bounds, Derivation, EMPTY_ENV,
                              EMPTY_MULTI, Env, Judgment, Multi, N, TVar, V,
                              args, canonical_nf_derivation, canon_typing,
@@ -11,7 +11,7 @@ from banglab.typesys import (Arrow, B, Bounds, Derivation, EMPTY_ENV,
                              multi, nf_shape, parse_type, print_type,
                              typable, typing_pairs,
                              typing_transport_check, typings_enumerate,
-                             untypable_certificate, RuleViolation)
+                             untypable_certificate, RuleViolation, _opening)
 
 p = parse_term
 a, b = TVar("a"), TVar("b")
@@ -135,6 +135,22 @@ def test_derivations_conclude_exactly_the_typing_pairs():
     assert find_derivation(B, t, deep) == next(
         d for d in typings_enumerate(B, t) if canon_typing(d.conclusion.typing) == deep)
     assert find_derivation(B, p("\\x.x"), (EMPTY_ENV, a)) is None
+
+
+def test_opening_is_fresh_for_free_percent_names():
+    # \x. x %0 is \x. x y with y renamed: opening its binder must not
+    # capture the free %0
+    t = Abs("x", App(Idx(0), Var("%0")))
+
+    def renamed(pair):
+        env, ty = pair
+        return Env(tuple(("%0" if n == "y" else n, m) for n, m in env.items)), ty
+
+    for sys in (B, N, V):
+        assert typing_pairs(sys, t) == {renamed(q) for q in typing_pairs(sys, p("\\x. x y"))}, sys
+        ds = list(typings_enumerate(sys, t))
+        assert ds and all(check_derivation(d) is None for d in ds), sys
+    assert _opening(App(Var("%0"), Var("%2"))) == "%3"
 
 
 def test_bang_always_empty_typable():
