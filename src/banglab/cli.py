@@ -152,12 +152,19 @@ def _binding(pair: str):
     name, colon, ty = pair.partition(":")
     if not (name and colon):
         raise ValueError(f"malformed --env binding {pair!r}: expected name:type, like x:[a]")
-    return name, parse_type(ty)
+    m = parse_type(ty)
+    if not isinstance(m, typesys.Multi):
+        raise ValueError(f"--env binding {pair!r}: a variable's type must be a multitype, like [a]")
+    return name, m
 
 
 def cmd_testable(ns) -> int:
     goal = parse_type(ns.type)
-    env = typesys.Env(tuple(_binding(pair) for pair in ns.env))
+    bindings = [_binding(pair) for pair in ns.env]
+    names = [n for n, _ in bindings]
+    if len(set(names)) < len(names):
+        raise ValueError(f"--env binds {max(names, key=names.count)} more than once")
+    env = typesys.Env(tuple(bindings))
     res = testable(ns.system, (env, goal), InhBounds(type_bounds=_bounds(ns)))
     _emit(ns, {"verdict": res.verdict}, res.verdict)
     return 0

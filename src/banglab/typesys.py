@@ -1,9 +1,14 @@
 """Non-idempotent intersection types and the three typing systems.
 
 Types are type variables, finite multisets of types (multitypes), and
-arrows from a multitype to a type.  Multitype elements are kept in a
-canonical total order (variables before multitypes before arrows), so
-multiset equality is plain structural equality.
+arrows from a multitype to a type.  Types and environments are
+hash-consed (Filliatre and Conchon, "Type-Safe Modular Hash-Consing", ML
+Workshop 2006): each constructor returns the one live node with the given
+value, so equality and hashing are identity, whatever the depth.
+Multitype elements are kept in a canonical total order (variables before
+multitypes before arrows) by a sort key each node computes once, from its
+children's; environment bindings are sorted by name.  The intern tables
+hold their nodes weakly, so a node lives as long as something uses it.
 
 Three systems share the type language:
 
@@ -37,8 +42,11 @@ term and bounds, and a subterm is typed once wherever it occurs.
 from __future__ import annotations
 
 import itertools
+import math
+import weakref
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import attrgetter, itemgetter
 from typing import Callable, Iterator, Optional, Sequence
 
 from . import reduction
@@ -52,44 +60,127 @@ B, N, V = "B", "N", "V"
 # Types
 
 
-class Type:
-    __slots__ = ()
+class _Interned:
+    """An immutable, hash-consed node.  Its class's constructor returns the
+    one live node with the given value, so `==` and `hash` are identity;
+    copies and unpickled nodes come back through the constructor, as the
+    same node.  The intern tables hold their nodes weakly (see _Entry)."""
+
+    __slots__ = ("__weakref__",)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __copy__(self):
+        return self
+
+    def __deepcopy__(self, memo):
+        return self
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, f) for f in self.__match_args__)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__match_args__)
+        return f"{type(self).__name__}({fields})"
+
+
+class _Entry(weakref.ref):
+    """An intern-table entry: a weak reference to its node that deletes
+    itself from its table when the node dies, so the tables hold only
+    the nodes something else still uses."""
+
+    __slots__ = ("table", "key")
+
+
+def _drop(entry: _Entry) -> None:
+    if entry.table.get(entry.key) is entry:
+        del entry.table[entry.key]
+
+
+def _live(table: dict, key):
+    """The live node interned under key, or None."""
+    entry = table.get(key)
+    return entry() if entry is not None else None
+
+
+def _new(cls, table: dict, key, **fields):
+    """A new node of cls with these fields, interned under key."""
+    node = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(node, name, value)
+    entry = _Entry(node, _drop)
+    entry.table, entry.key = table, key
+    table[key] = entry
+    return node
+
+
+class Type(_Interned):
+    """A type node.  `_key` orders types: variables before multitypes
+    before arrows, then by the children's keys (a multitype's key is its
+    tag followed by its elements' keys, which orders multitypes as their
+    key sequences).  `_depth` is the structural depth.  Both are computed
+    once, from the children's."""
+
+    __slots__ = ("_key", "_depth")
 
     def __str__(self) -> str:
         return print_type(self)
 
 
-@dataclass(frozen=True, slots=True)
+_TVARS: dict[str, _Entry] = {}
+_MULTIS: dict[tuple, _Entry] = {}
+_ARROWS: dict[tuple, _Entry] = {}
+
+
 class TVar(Type):
-    name: str
+    __slots__ = ("name",)
+    __match_args__ = ("name",)
+
+    def __new__(cls, name: str) -> "TVar":
+        node = _live(_TVARS, name)
+        if node is None:
+            node = _new(cls, _TVARS, name, name=name, _key=(0, name), _depth=1)
+        return node
 
 
-@dataclass(frozen=True, slots=True)
+_sort_key = attrgetter("_key")
+
+
 class Multi(Type):
-    elems: tuple[Type, ...] = ()
+    __slots__ = ("elems",)
+    __match_args__ = ("elems",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "elems", tuple(sorted(self.elems, key=_key)))
+    def __new__(cls, elems: Sequence[Type] = ()) -> "Multi":
+        if type(elems) is not tuple:
+            elems = tuple(elems)
+        node = _live(_MULTIS, elems)  # found only if elems is in order already
+        if node is None:
+            elems = tuple(sorted(elems, key=_sort_key))
+            node = _live(_MULTIS, elems)
+            if node is None:
+                node = _new(cls, _MULTIS, elems, elems=elems,
+                            _key=(1, *[e._key for e in elems]),
+                            _depth=1 + max([e._depth for e in elems], default=0))
+        return node
 
     def __len__(self):
         return len(self.elems)
 
 
-@dataclass(frozen=True, slots=True)
 class Arrow(Type):
-    dom: Multi
-    cod: Type
+    __slots__ = ("dom", "cod")
+    __match_args__ = ("dom", "cod")
 
-
-def _key(t: Type):
-    match t:
-        case TVar(name):
-            return (0, name)
-        case Multi(elems):
-            return (1, tuple(_key(e) for e in elems))
-        case Arrow(dom, cod):
-            return (2, _key(dom), _key(cod))
-    raise TypeError(t)
+    def __new__(cls, dom: Multi, cod: Type) -> "Arrow":
+        node = _live(_ARROWS, (dom, cod))
+        if node is None:
+            node = _new(cls, _ARROWS, (dom, cod), dom=dom, cod=cod,
+                        _key=(2, dom._key, cod._key), _depth=1 + max(dom._depth, cod._depth))
+        return node
 
 
 EMPTY_MULTI = Multi(())
@@ -203,15 +294,24 @@ def print_type(t: Type) -> str:
 # Environments
 
 
-@dataclass(frozen=True, slots=True)
-class Env:
-    """Finite map from variable names to multitypes; empty bindings dropped."""
+_ENVS: dict[tuple, _Entry] = {}
 
-    items: tuple[tuple[str, Multi], ...] = ()
 
-    def __post_init__(self):
-        cleaned = tuple(sorted((n, m) for n, m in self.items if m.elems))
-        object.__setattr__(self, "items", cleaned)
+class Env(_Interned):
+    """Finite map from variable names to multitypes; empty bindings
+    dropped, the others sorted by name.  `_width` is the largest binding
+    cardinality."""
+
+    __slots__ = ("items", "_width")
+    __match_args__ = ("items",)
+
+    def __new__(cls, items: Sequence[tuple[str, Multi]] = ()) -> "Env":
+        if type(items) is not tuple:
+            items = tuple(items)
+        node = _live(_ENVS, items)  # found only if items is clean and sorted already
+        if node is None:
+            node = _env(tuple(sorted([(n, m) for n, m in items if m.elems], key=_name)))
+        return node
 
     @staticmethod
     def of(mapping: dict[str, Multi]) -> "Env":
@@ -230,7 +330,10 @@ class Env:
         return tuple(m for _, m in self.items)
 
     def without(self, name: str) -> "Env":
-        return Env(tuple((n, m) for n, m in self.items if n != name))
+        for i, (n, _) in enumerate(self.items):
+            if n == name:
+                return _env(self.items[:i] + self.items[i + 1:])
+        return self
 
     def add(self, name: str, m: Multi) -> "Env":
         merged = dict(self.items)
@@ -241,20 +344,49 @@ class Env:
         return ", ".join(f"{n}: {print_type(m)}" for n, m in self.items) or "{}"
 
 
+_name = itemgetter(0)
+
+
+def _env(items: tuple[tuple[str, Multi], ...]) -> Env:
+    """The interned env with these clean, name-sorted items."""
+    node = _live(_ENVS, items)
+    if node is None:
+        node = _new(Env, _ENVS, items, items=items,
+                    _width=max([len(m.elems) for _, m in items], default=0))
+    return node
+
+
 EMPTY_ENV = Env()
 
 
-def env_sum(envs: Sequence[Env]) -> Env:
-    """Pointwise multiset union; the empty list gives the empty env."""
-    merged: dict[str, tuple[Type, ...]] = {}
+def env_sum(envs: Sequence[Env], card: Optional[int] = None) -> Optional[Env]:
+    """Pointwise multiset union; the empty list gives the empty env.  Given
+    `card`, None as soon as a binding of the sum would have more than
+    `card` elements: sums only grow, so no larger sum fits either."""
+    bound = math.inf if card is None else card
+    first, merged = EMPTY_ENV, None
     for e in envs:
+        if not e.items:
+            continue
+        if e._width > bound:
+            return None
+        if first is EMPTY_ENV:
+            first = e
+            continue
+        if merged is None:
+            merged = {n: m.elems for n, m in first.items}
         for n, m in e.items:
-            merged[n] = merged.get(n, ()) + m.elems
-    return Env(tuple((n, Multi(es)) for n, es in merged.items()))
-
-
-def max_env_card(e: Env) -> int:
-    return max((len(m) for _, m in e.items), default=0)
+            es = merged.get(n)
+            if es is None:
+                merged[n] = m.elems
+            else:
+                es += m.elems
+                if len(es) > bound:
+                    return None
+                merged[n] = es
+    if merged is None:
+        return first
+    return _env(tuple(sorted([(n, Multi(es)) for n, es in merged.items()], key=_name)))
 
 
 # ---------------------------------------------------------------------------
@@ -562,7 +694,6 @@ def _universe_multis(bounds: Bounds) -> tuple[Multi, ...]:
     return tuple(t for t in type_universe(bounds) if isinstance(t, Multi))
 
 
-@lru_cache(maxsize=None)
 def _value_var_multis(bounds: Bounds) -> tuple[Multi, ...]:
     """Base axiom multitypes for V variables: the universe multitypes
     plus singleton wrappers of universe arrows (function-position
@@ -579,10 +710,13 @@ def _value_var_multis(bounds: Bounds) -> tuple[Multi, ...]:
 
 
 @lru_cache(maxsize=None)
-def _var_axioms(bounds: Bounds) -> tuple[tuple[Multi, Type], ...]:
-    """The (multi(ty), ty) axiom types of B and N variables, built once
-    per bounds, in type_universe order."""
-    return tuple((multi(ty), ty) for ty in type_universe(bounds))
+def _var_axioms(sys: str, x: str, bounds: Bounds) -> tuple[Pair, ...]:
+    """The conclusions (env, type) of the var axioms for x, built once per
+    variable and bounds: x : [ty] |- x : ty in B and N, for ty in
+    type_universe order, and x : M |- x : M in V."""
+    if sys == V:
+        return tuple((Env(((x, m),)), m) for m in _value_var_multis(bounds))
+    return tuple((Env(((x, multi(ty)),)), ty) for ty in type_universe(bounds))
 
 
 def _acceptable_var_multi(m: Multi, bounds: Bounds) -> bool:
@@ -590,23 +724,7 @@ def _acceptable_var_multi(m: Multi, bounds: Bounds) -> bool:
     return len(m) <= bounds.card and all(e in uni for e in m.elems)
 
 
-@lru_cache(maxsize=None)
-def _depth(t: Type) -> int:
-    match t:
-        case TVar():
-            return 1
-        case Multi(elems):
-            return 1 + max((_depth(e) for e in elems), default=0)
-        case Arrow(dom, cod):
-            return 1 + max(_depth(dom), _depth(cod))
-    raise TypeError(t)
-
-
 Pair = tuple[Env, Type]
-
-
-def _env_fits(e: Env, card: int) -> bool:
-    return max_env_card(e) <= card
 
 
 def _env_profile(e: Env) -> tuple[tuple[str, int], ...]:
@@ -658,7 +776,8 @@ def _families(lookup: Callable[[Type], Sequence], m: Multi, card: int
     """Premise families with one premise per element of m, each an item
     from lookup(element type): equal element types are grouped and drawn
     as combinations with replacement, the groups combined by product.
-    Yields (summed env, premises) for the families within the card bound."""
+    Yields (summed env, premises) for the families within the card bound;
+    a group's draws over the bound are dropped before the product."""
     groups: dict[Type, int] = {}
     for ty in m.elems:
         groups[ty] = groups.get(ty, 0) + 1
@@ -667,11 +786,15 @@ def _families(lookup: Callable[[Type], Sequence], m: Multi, card: int
         cands = lookup(ty)
         if not cands:
             return
-        options.append([(combo, env_sum([it[0] for it in combo]) if count > 1 else combo[0][0])
-                        for combo in itertools.combinations_with_replacement(cands, count)])
+        draws = []
+        for combo in itertools.combinations_with_replacement(cands, count):
+            env = env_sum([it[0] for it in combo], card)
+            if env is not None:
+                draws.append((combo, env))
+        options.append(draws)
     for choice in itertools.product(*options):
-        env = choice[0][1] if len(choice) == 1 else env_sum([e for _, e in choice])
-        if _env_fits(env, card):
+        env = env_sum([e for _, e in choice], card)
+        if env is not None:
             yield env, tuple(it for combo, _ in choice for it in combo)
 
 
@@ -719,14 +842,9 @@ def _rules(sys: str, t: Term, bounds: Bounds, items, at,
     elems = want.elems if isinstance(want, Multi) else ()  # for multitype-forming rules
     match t:
         case Var(x):
-            if sys == V:
-                for m in _value_var_multis(bounds):
-                    if want is None or m == want:
-                        yield Env(((x, m),)), m, "var", (), None
-            else:
-                for m, ty in _var_axioms(bounds):
-                    if want is None or ty == want:
-                        yield Env(((x, m),)), ty, "var", (), None
+            for env, ty in _var_axioms(sys, x, bounds):
+                if want is None or ty == want:
+                    yield env, ty, "var", (), None
         case Idx():
             raise ValueError("enumeration requires a locally closed subject")
         case Abs(_, body):
@@ -738,7 +856,7 @@ def _rules(sys: str, t: Term, bounds: Bounds, items, at,
                 folded = []
                 for it in sub:
                     a = Arrow(it[0].get(name), it[1])
-                    if (want is None or a in elems) and _depth(a) <= bounds.depth:
+                    if (want is None or a in elems) and a._depth <= bounds.depth:
                         folded.append((it[0].without(name), a, it))
                 for fam in _grouped_multisets(folded, card):
                     yield (env_sum([f[0] for f in fam]), Multi(tuple(f[1] for f in fam)),
@@ -760,8 +878,8 @@ def _rules(sys: str, t: Term, bounds: Bounds, items, at,
                 if not isinstance(fty, Arrow) or (want is not None and fty.cod != want):
                     continue
                 for aenv, fam in arg_at(fty.dom):
-                    env = env_sum([f[0], aenv])
-                    if _env_fits(env, card):
+                    env = env_sum([f[0], aenv], card)
+                    if env is not None:
                         yield env, fty.cod, "app", (f, *fam), None
         case Sub(_, body, arg):
             name = _opening(t)
@@ -769,14 +887,15 @@ def _rules(sys: str, t: Term, bounds: Bounds, items, at,
             for b in items(open_var(body, name)):
                 if want is not None and b[1] != want:
                     continue
+                rest = b[0].without(name)
                 for aenv, fam in arg_at(b[0].get(name)):
-                    env = env_sum([b[0].without(name), aenv])
-                    if _env_fits(env, card):
+                    env = env_sum([rest, aenv], card)
+                    if env is not None:
                         yield env, b[1], "es", (b, *fam), name
         case Bang(inner):
             if sys == B:
                 sub = [it for it in items(inner)
-                       if (want is None or it[1] in elems) and _depth(it[1]) < bounds.depth]
+                       if (want is None or it[1] in elems) and it[1]._depth < bounds.depth]
                 for fam in _grouped_multisets(sub, card):
                     yield (env_sum([it[0] for it in fam]), Multi(tuple(it[1] for it in fam)),
                            "bang", fam, None)
@@ -855,7 +974,7 @@ def on_grid(pair: Pair, limit: int) -> bool:
     depth: at the boundary itself, one side of a reduction step may need
     types the bounded enumeration cannot reach."""
     env, ty = pair
-    return _depth(ty) <= limit and all(_depth(m) <= limit for _, m in env.items)
+    return ty._depth <= limit and all(m._depth <= limit for _, m in env.items)
 
 
 def grid_typing_set(sys: str, t: Term, bounds: Bounds = Bounds(),

@@ -213,6 +213,10 @@ def test_testable_malformed_env(capsys):
     code, _, err = run(capsys, "testable", "--type", "[]", "--env", "x")
     assert code == 2 and err.count("\n") == 1
     assert "'x'" in err and "name:type" in err
+    for env, says in ((["x:a"], "multitype"), (["x:[a]", "x:[b]"], "x more than once")):
+        code, _, err = run(capsys, "testable", "--type", "[]", "--env", *env)
+        assert code == 2 and err.startswith("error:") and err.count("\n") == 1
+        assert says in err
 
 
 def test_typings_bad_bounds(capsys):

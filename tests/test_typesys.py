@@ -1,3 +1,7 @@
+import copy
+import hashlib
+import pickle
+
 import hypothesis
 import hypothesis.strategies as st
 import pytest
@@ -9,9 +13,10 @@ from banglab.typesys import (Arrow, B, Bounds, Derivation, EMPTY_ENV,
                              args, canonical_nf_derivation, canon_typing,
                              check_derivation, env_sum, find_derivation,
                              multi, nf_shape, parse_type, print_type,
-                             typable, typing_pairs,
+                             rename_tvars, typable, typing_pairs,
                              typing_transport_check, typings_enumerate,
-                             untypable_certificate, RuleViolation, _opening)
+                             untypable_certificate, RuleViolation, _ENVS,
+                             _MULTIS, _opening, _pairs)
 
 p = parse_term
 a, b = TVar("a"), TVar("b")
@@ -39,6 +44,128 @@ def test_env_sum():
     assert env_sum([e, Env.of({"y": multi(b)})]).domain() == ("x", "y")
     # empty multitypes are dropped from the domain
     assert Env.of({"x": EMPTY_MULTI}) == EMPTY_ENV
+
+
+def test_env_sum_within_card():
+    e = Env.of({"x": multi(a), "y": multi(b)})
+    assert env_sum([e, e], 2) is Env.of({"x": multi(a, a), "y": multi(b, b)})
+    assert env_sum([e, e, e], 2) is None
+    assert env_sum([Env.of({"x": multi(a, a, b)})], 2) is None
+    assert env_sum([EMPTY_ENV, e], 1) is e
+    assert env_sum([], 0) is EMPTY_ENV
+
+
+def _seed_key(t):
+    """The sort key multitype elements were ordered by before types were
+    interned, kept as the reference for the order of Multi.elems."""
+    match t:
+        case TVar(name):
+            return (0, name)
+        case Multi(elems):
+            return (1, tuple(_seed_key(e) for e in elems))
+        case Arrow(dom, cod):
+            return (2, _seed_key(dom), _seed_key(cod))
+    raise TypeError(t)
+
+
+def _compound(kids):
+    multis = st.lists(kids, max_size=3).map(lambda es: Multi(tuple(es)))
+    return multis | st.builds(Arrow, multis, kids)
+
+
+_types = st.recursive(st.sampled_from("abc").map(TVar), _compound, max_leaves=8)
+
+
+@hypothesis.given(st.lists(_types, max_size=4))
+@hypothesis.settings(max_examples=200, deadline=None)
+def test_multitype_order_is_the_seed_key_order(elems):
+    m = Multi(tuple(elems))
+    assert m.elems == tuple(sorted(elems, key=_seed_key))
+    assert m is Multi(tuple(reversed(elems)))
+
+
+def test_equal_values_are_one_object():
+    arr = Arrow(multi(a, b), a)
+    assert multi(arr, a, b) is multi(b, arr, a) is Multi((a, b, arr))
+    assert Multi(elems=(b, a)) is Multi([a, b])
+    assert parse_type("[b, a] -> a") is arr
+    assert parse_type("[[b] -> b]") is multi(Arrow(multi(b), b))
+    assert rename_tvars(arr, {"a": "b", "b": "a"}) is Arrow(multi(a, b), b)
+    assert TVar("a") is a
+    e = Env.of({"y": multi(b), "x": multi(a)})
+    assert Env((("x", multi(a)), ("y", multi(b)))) is e
+    assert Env((("y", multi(b)), ("z", EMPTY_MULTI), ("x", multi(a)))) is e
+    assert Env.of({"x": multi(a)}).add("y", multi(b)) is e
+    assert e.add("x", multi(a)) is Env.of({"x": multi(a, a), "y": multi(b)})
+    assert env_sum([Env.of({"y": multi(b)}), Env.of({"x": multi(a)})]) is e
+    assert e.without("z") is e and e.without("y") is Env.of({"x": multi(a)})
+    env, ty = canon_typing((Env.of({"x": multi(b)}), b))
+    assert env is Env.of({"x": multi(a)}) and ty is a
+    env, ty = canon_typing((Env.of({"x": multi(TVar("c"))}), TVar("d")))
+    assert env is Env.of({"x": multi(a)}) and ty is b
+
+
+def test_reprs_are_the_dataclass_reprs():
+    assert repr(Env.of({"x": multi(Arrow(EMPTY_MULTI, a))})) == (
+        "Env(items=(('x', Multi(elems=(Arrow(dom=Multi(elems=()), cod=TVar(name='a')),))),))")
+    match Arrow(multi(a), b):
+        case Arrow(Multi((TVar(x),)), TVar(y)):
+            assert (x, y) == ("a", "b")
+        case _:
+            pytest.fail("positional patterns no longer match")
+    with pytest.raises(AttributeError):
+        a.name = "b"
+
+
+def test_copies_and_pickles_are_the_interned_object():
+    arr = Arrow(multi(a, b), multi(a))
+    for v in (a, EMPTY_MULTI, arr, multi(arr, a), EMPTY_ENV, Env.of({"x": multi(arr)})):
+        assert copy.copy(v) is v
+        assert copy.deepcopy(v) is v
+        assert pickle.loads(pickle.dumps(v)) is v
+    pair = (Env.of({"x": multi(a)}), arr)
+    assert copy.deepcopy(pair) == pair
+    assert pickle.loads(pickle.dumps(pair))[1] is arr
+
+
+def test_intern_tables_hold_nodes_weakly():
+    elems = (TVar("w0"), TVar("w1"))
+    m = Multi(elems)
+    env = Env.of({"w": m})
+    assert _MULTIS[elems]() is m and _ENVS[env.items]() is env
+    items = env.items
+    del env
+    assert items not in _ENVS and elems in _MULTIS
+    del items, m
+    assert elems not in _MULTIS
+
+
+def test_deep_types_build_hash_and_compare():
+    def deep(leaf):
+        ty = leaf
+        for _ in range(5_000):
+            ty = Arrow(multi(ty), ty)
+        return ty
+
+    t, u = deep(a), deep(b)
+    assert t._depth == 10_001
+    assert t is deep(a) and t != u
+    assert hash(t) == hash(deep(a)) and {t: 1}[deep(a)] == 1
+    assert Env.of({"x": multi(t)}) is Env.of({"x": multi(deep(a))})
+
+
+# sha256 of the reprs of the _pairs tables, in enum_terms order: B over
+# enum_terms(4), then N and V over its bang-free terms.  It pins the
+# typings, their order in each table and the repr format.
+PAIRS_DIGEST = "be8261409c4e6193ac456c3a440bb3a6296e3a8f5f3409698a76bc286de7f5b0"
+
+
+def test_typing_tables_are_pinned():
+    h = hashlib.sha256()
+    for sys, bang_free in ((B, False), (N, True), (V, True)):
+        for t in enum_terms(4, bang_free=bang_free):
+            h.update(repr(_pairs(sys, t, Bounds())).encode())
+    assert h.hexdigest() == PAIRS_DIGEST
 
 
 def test_args():
