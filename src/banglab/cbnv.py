@@ -22,10 +22,10 @@ from typing import Optional
 from . import meaning, reduction
 from .meaning import Budgets, MeaningVerdict, MEANINGFUL, UNKNOWN
 from .reduction import CBN, CBV, ReduceOutcome, is_value
-from .syntax import (Abs, App, AppArg, AppFun, AbsBody, Bang, BangInner, Ctx,
-                     Der, DerInner, FULL, I, Idx, Sub, SubArg, SubBody, Term,
-                     TESTING, Var, alpha_eq, fresh_name, free_vars, lam,
-                     open_var, peel_subs, plug, print_term, rebuild_subs)
+from .syntax import (Abs, App, AppFun, AbsBody, Bang, Ctx, Der, FULL, HOLE, I,
+                     Idx, Sub, Term, TESTING, Var, alpha_eq, context_of,
+                     fresh_name, free_vars, lam, open_var, peel_subs, plug,
+                     print_term, rebuild_subs)
 # Not called here; bench/instrument.py wraps these two names in this module.
 from .syntax import shift_free, subst_bound  # noqa: F401
 
@@ -43,6 +43,8 @@ def is_cterm(t: Term) -> bool:
             return is_cterm(body) and is_cterm(arg)
         case Bang() | Der():
             return False
+    if t == HOLE:
+        return True
     raise TypeError(t)
 
 
@@ -86,6 +88,8 @@ def _embed_cbn(t: Term) -> Term:
             return App(_embed_cbn(fun), Bang(_embed_cbn(arg)))
         case Sub(h, body, arg):
             return Sub(h, _embed_cbn(body), Bang(_embed_cbn(arg)))
+    if t == HOLE:
+        return t
     raise TypeError(t)
 
 
@@ -103,54 +107,28 @@ def _embed_cbv(t: Term) -> Term:
             return App(Der(f), _embed_cbv(arg))
         case Sub(h, body, arg):
             return Sub(h, _embed_cbv(body), _embed_cbv(arg))
+    if t == HOLE:
+        return t
     raise TypeError(t)
 
 
 def embed_ctx(tag: str, c: Ctx) -> Ctx:
     """Embed a context, mapping the hole to the hole.
 
+    Each frame is plugged with HOLE, embedded like a term and read back
+    into frames.  It goes frame by frame because embedding the whole
+    plugged context could rename a shadowing binder and change what the
+    hole captures.  A bang or dereliction frame raises ValueError, as
+    embed does for a term with one.
+
     For CBV the application case cannot inspect a hole in function
     position, so the dereliction branch is used there; the embedding of
     a plugged term then agrees up to administrative dereliction steps.
     """
     frames: list = []
-    emb = (lambda u: embed(tag, u))
-    for i, f in enumerate(c.frames):
-        match f:
-            case AppFun(arg):
-                if tag == CBN:
-                    frames.append(AppFun(Bang(emb(arg))))
-                else:
-                    frames.append(AppFun(_embed_cbv(arg)))
-                    frames.append(DerInner())
-            case AppArg(fun):
-                if tag == CBN:
-                    frames.append(AppArg(emb(fun)))
-                    frames.append(BangInner())
-                else:
-                    fe = _embed_cbv(fun)
-                    spine, core = peel_subs(fe)
-                    if isinstance(core, Bang):
-                        frames.append(AppArg(rebuild_subs(spine, core.inner)))
-                    else:
-                        frames.append(AppArg(Der(fe)))
-            case AbsBody(binder):
-                frames.append(AbsBody(binder))
-                if tag == CBV:
-                    frames.insert(len(frames) - 1, BangInner())
-            case SubBody(binder, arg):
-                if tag == CBN:
-                    frames.append(SubBody(binder, Bang(emb(arg))))
-                else:
-                    frames.append(SubBody(binder, _embed_cbv(arg)))
-            case SubArg(binder, body):
-                if tag == CBN:
-                    frames.append(SubArg(binder, _embed_cbn(body)))
-                    frames.append(BangInner())
-                else:
-                    frames.append(SubArg(binder, _embed_cbv(body)))
-    kind = FULL
-    return Ctx(kind, tuple(frames))
+    for f in c.frames:
+        frames += context_of(embed(tag, plug(Ctx(FULL, (f,)), HOLE))).frames
+    return Ctx(FULL, tuple(frames))
 
 
 def unembed(tag: str, t: Term) -> Optional[Term]:

@@ -161,9 +161,6 @@ def _binding(pair: str):
 def cmd_testable(ns) -> int:
     goal = parse_type(ns.type)
     bindings = [_binding(pair) for pair in ns.env]
-    names = [n for n, _ in bindings]
-    if len(set(names)) < len(names):
-        raise ValueError(f"--env binds {max(names, key=names.count)} more than once")
     env = typesys.Env(tuple(bindings))
     res = testable(ns.system, (env, goal), InhBounds(type_bounds=_bounds(ns)))
     _emit(ns, {"verdict": res.verdict}, res.verdict)

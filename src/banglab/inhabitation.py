@@ -277,10 +277,6 @@ class Testability:
     args_results: tuple[tuple[Multi, InhResult], ...] = ()
 
     @property
-    def env_witnesses(self) -> dict[str, Term]:
-        return {n: r.witness for n, r in self.env_results if r.witness is not None}
-
-    @property
     def args_witnesses(self) -> tuple[Optional[Term], ...]:
         return tuple(r.witness for _, r in self.args_results)
 

@@ -268,20 +268,16 @@ def genericity_check(F: Ctx, t_meaningless: Term, samples: Sequence[Term],
         verdicts.append((u, v.status))
         if v.status == MEANINGLESS:
             failures.append(u)
-        same = v.meaningful and _admits_typing(plug(F, u), target, budgets)
+        same = v.meaningful and _admits_typing(v.normal_form, target, budgets)
         transported.append((u, same))
     return GenericityReport(True, base, tuple(verdicts), tuple(transported),
                             tuple(failures))
 
 
-def _admits_typing(t: Term, canon_target, budgets: Budgets) -> bool:
-    out = normalize(t, reduction.SURFACE, budgets.fuel)
-    if not out.normalized:
-        return False
-    for d in typings_enumerate(B, out.term, budgets.type_bounds):
-        if canon_typing(d.conclusion.typing) == canon_target:
-            return True
-    return False
+def _admits_typing(nf: Term, canon_target, budgets: Budgets) -> bool:
+    """Whether the normal form nf has a typing equal to canon_target."""
+    return any(canon_typing(d.conclusion.typing) == canon_target
+               for d in typings_enumerate(B, nf, budgets.type_bounds))
 
 
 # ---------------------------------------------------------------------------

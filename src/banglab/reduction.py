@@ -233,13 +233,12 @@ class NfClass(Enum):
     NE_S = "ne"          # neutral: variable-headed
     NA_S = "na"          # argument-position normal forms
     NB_S = "nb"          # abstraction-position normal forms
-    NO_S = "no"          # na | nb (exposed by classify for ne terms' union)
     NOT_NORMAL = "not-normal"
     CLASH_NF = "clash-nf"
 
     @property
     def in_no_s(self) -> bool:
-        return self in (NfClass.NE_S, NfClass.NA_S, NfClass.NB_S, NfClass.NO_S)
+        return self in (NfClass.NE_S, NfClass.NA_S, NfClass.NB_S)
 
 
 def _grammar_flags(t: Term) -> tuple[bool, bool, bool]:

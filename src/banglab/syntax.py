@@ -389,7 +389,7 @@ def _tokenize(src: str) -> list[tuple[str, str, int, int]]:
 
 
 class _Hole(Term):
-    """Private marker node used while parsing contexts."""
+    """Marker node standing for the hole of a context; see HOLE."""
 
     __slots__ = ()
 
@@ -398,6 +398,9 @@ class _Hole(Term):
 
     def __hash__(self):
         return hash(_Hole)
+
+
+HOLE = _Hole()  # the hole as a term: plug(c, HOLE) and context_of invert each other
 
 
 class _Parser:
@@ -493,7 +496,7 @@ class _Parser:
             return t
         if val == "[" and self.allow_hole:
             self.expect("]")
-            return _Hole()
+            return HOLE
         raise ParseError(f"unexpected {val or 'end of input'!r}", line, col)
 
 
@@ -687,7 +690,7 @@ class Ctx:
                     raise ValueError(f"{type(f).__name__} frame not allowed in {self.kind} context")
 
     def __str__(self) -> str:
-        return print_term(plug(self, _Hole()))
+        return print_term(plug(self, HOLE))
 
     def hole_position(self) -> Position:
         pos = []
@@ -745,8 +748,12 @@ def plug(c: Ctx, t: Term) -> Term:
 
 def parse_context(src: str, kind: str = FULL) -> Ctx:
     """Parse a term with exactly one [] hole into a context of `kind`."""
-    skel = _Parser(src, allow_hole=True).parse()
-    frames = _frames_to_hole(skel)
+    return context_of(_Parser(src, allow_hole=True).parse(), kind)
+
+
+def context_of(t: Term, kind: str = FULL) -> Ctx:
+    """The context of `kind` that t is with its one HOLE taken out."""
+    frames = _frames_to_hole(t)
     if frames is None:
         raise ParseError("context must contain exactly one hole", 1, 1)
     return Ctx(kind, tuple(frames))
@@ -848,7 +855,7 @@ def gen_term(seed: int, size: int, profile: str = "raw") -> Term:
     if profile in ("cbn-image", "cbv-image"):
         from . import cbnv
 
-        src = gen_cterm(rng, size, ("x", "y"))
+        src = _gen(rng, size, ("x", "y"), 0, bias=False, bang_free=True)
         tag = cbnv.CBN if profile == "cbn-image" else cbnv.CBV
         return cbnv.embed(tag, src)
     if profile not in ("raw", "bang"):
@@ -856,59 +863,50 @@ def gen_term(seed: int, size: int, profile: str = "raw") -> Term:
     return _gen(rng, size, ("x", "y"), 0, bias=(profile == "bang"))
 
 
-def _gen(rng: random.Random, size: int, pool: tuple[str, ...], depth: int, bias: bool) -> Term:
+def _gen(rng: random.Random, size: int, pool: tuple[str, ...], depth: int, bias: bool,
+         bang_free: bool = False) -> Term:
+    """A seeded term; with bang_free, one of the shared syntax of the
+    CBN/CBV calculi (bias is then unused)."""
     if size <= 1:
         k = rng.randrange(len(pool) + depth)
         if k < len(pool):
             return Var(pool[k])
         return Idx(k - len(pool))
-    choices = ["abs", "bang", "der"]
-    if size >= 3:
-        choices += ["app", "sub"]
-    if bias:
-        choices += ["bang"] + (["app", "sub"] if size >= 3 else [])
+    if bang_free:
+        choices = ["abs"] if size < 3 else ["abs", "app", "app", "sub"]
+    else:
+        choices = ["abs", "bang", "der"]
+        if size >= 3:
+            choices += ["app", "sub"]
+        if bias:
+            choices += ["bang"] + (["app", "sub"] if size >= 3 else [])
     kind = rng.choice(choices)
+
+    def gen(size: int, depth: int) -> Term:
+        return _gen(rng, size, pool, depth, bias, bang_free)
+
     if kind == "abs":
-        name = f"b{depth}"
-        return Abs(name, _gen(rng, size - 1, pool, depth + 1, bias))
+        return Abs(f"b{depth}", gen(size - 1, depth + 1))
     if kind == "bang":
-        return Bang(_gen(rng, size - 1, pool, depth, bias))
+        return Bang(gen(size - 1, depth))
     if kind == "der":
-        inner = _gen(rng, size - 1, pool, depth, bias)
+        inner = gen(size - 1, depth)
         if bias and not isinstance(inner, (Bang, Sub)) and size >= 3:
-            return Der(Bang(_gen(rng, size - 2, pool, depth, bias)))
+            return Der(Bang(gen(size - 2, depth)))
         return Der(inner)
     left = rng.randint(1, size - 2)
     right = size - 1 - left
     if kind == "app":
-        fun = _gen(rng, left, pool, depth, bias)
-        arg = _gen(rng, right, pool, depth, bias)
+        fun = gen(left, depth)
+        arg = gen(right, depth)
         if bias and right >= 2 and rng.random() < 0.5:
-            arg = Bang(_gen(rng, right - 1, pool, depth, bias))
+            arg = Bang(gen(right - 1, depth))
         return App(fun, arg)
-    body = _gen(rng, left, pool, depth + 1, bias)
-    arg = _gen(rng, right, pool, depth, bias)
+    body = gen(left, depth + 1)
+    arg = gen(right, depth)
     if bias and right >= 2 and rng.random() < 0.6:
-        arg = Bang(_gen(rng, right - 1, pool, depth, bias))
+        arg = Bang(gen(right - 1, depth))
     return Sub(f"s{depth}", body, arg)
-
-
-def gen_cterm(rng: random.Random, size: int, pool: tuple[str, ...], depth: int = 0) -> Term:
-    """Seeded bang-free term (shared syntax of the CBN/CBV calculi)."""
-    if size <= 1:
-        k = rng.randrange(len(pool) + depth)
-        if k < len(pool):
-            return Var(pool[k])
-        return Idx(k - len(pool))
-    choices = ["abs"] if size < 3 else ["abs", "app", "app", "sub"]
-    kind = rng.choice(choices)
-    if kind == "abs":
-        return Abs(f"b{depth}", gen_cterm(rng, size - 1, pool, depth + 1))
-    left = rng.randint(1, size - 2)
-    right = size - 1 - left
-    if kind == "app":
-        return App(gen_cterm(rng, left, pool, depth), gen_cterm(rng, right, pool, depth))
-    return Sub(f"s{depth}", gen_cterm(rng, left, pool, depth + 1), gen_cterm(rng, right, pool, depth))
 
 
 # ---------------------------------------------------------------------------

@@ -310,7 +310,11 @@ class Env(_Interned):
             items = tuple(items)
         node = _live(_ENVS, items)  # found only if items is clean and sorted already
         if node is None:
-            node = _env(tuple(sorted([(n, m) for n, m in items if m.elems], key=_name)))
+            items = sorted(items, key=_name)
+            for (n, _), (later, _) in zip(items, items[1:]):
+                if n == later:
+                    raise ValueError(f"env binds {n} more than once")
+            node = _env(tuple([(n, m) for n, m in items if m.elems]))
         return node
 
     @staticmethod
@@ -325,9 +329,6 @@ class Env(_Interned):
 
     def domain(self) -> tuple[str, ...]:
         return tuple(n for n, _ in self.items)
-
-    def image(self) -> tuple[Multi, ...]:
-        return tuple(m for _, m in self.items)
 
     def without(self, name: str) -> "Env":
         for i, (n, _) in enumerate(self.items):
@@ -970,19 +971,18 @@ def typing_pairs(sys: str, t: Term, bounds: Bounds = Bounds()) -> frozenset[Pair
 def on_grid(pair: Pair, limit: int) -> bool:
     """Whether every component of the typing has depth <= limit.
 
-    Typing sets are compared on the grid one level below the enumeration
-    depth: at the boundary itself, one side of a reduction step may need
-    types the bounded enumeration cannot reach."""
+    grid_typing_set compares typing sets on the grid one level below the
+    enumeration depth (limit = depth - 1): at the boundary itself, one
+    side of a reduction step may need types the bounded enumeration
+    cannot reach."""
     env, ty = pair
     return ty._depth <= limit and all(m._depth <= limit for _, m in env.items)
 
 
-def grid_typing_set(sys: str, t: Term, bounds: Bounds = Bounds(),
-                    limit: Optional[int] = None) -> frozenset[Pair]:
-    if limit is None:
-        limit = bounds.depth - 1
+def grid_typing_set(sys: str, t: Term, bounds: Bounds = Bounds()) -> frozenset[Pair]:
+    """The canonical typings of t on the grid below the depth bound."""
     return frozenset(canon_typing(p)
-                     for p in typing_pairs(sys, t, bounds) if on_grid(p, limit))
+                     for p in typing_pairs(sys, t, bounds) if on_grid(p, bounds.depth - 1))
 
 
 @lru_cache(maxsize=None)
@@ -1093,7 +1093,8 @@ def _first_derivation(sys: str, item: tuple, bounds: Bounds) -> Derivation:
 
 
 # ---------------------------------------------------------------------------
-# Sound untypability certificates and canonical NF derivations (system B)
+# Sound untypability certificates (system B), and the canonical B derivation
+# of a clash-free normal form: one structural recursion, `_canon`
 
 _SH_TVAR, _SH_ARROW, _SH_M0, _SH_MPOS = "tvar", "arrow", "m0", "m+"
 _ALL_SHAPES = frozenset((_SH_TVAR, _SH_ARROW, _SH_M0, _SH_MPOS))
@@ -1141,69 +1142,44 @@ def canonical_nf_derivation(t: Term) -> Derivation:
     cls = reduction.classify(t)
     if not cls.in_no_s:
         raise ValueError("subject must be a surface clash-free normal form")
-    return _canon_no(t)
+    return _canon(t)
 
 
-def _canon_ne(t: Term, want: Type) -> Derivation:
+def _canon(t: Term, want: Type = EMPTY_MULTI) -> Derivation:
+    """The canonical derivation of t, at `want` where t is neutral: a
+    head variable takes `want`, each function position `[] -> want`,
+    each argument the empty multitype, each closure argument what the
+    body asks of its binder."""
     match t:
         case Var(x):
             return Derivation(B, "var", Judgment(Env(((x, multi(want)),)), t, want))
         case App(fun, arg):
-            fd = _canon_ne(fun, Arrow(EMPTY_MULTI, want))
-            ad = _canon_na_empty(arg)
+            fd = _canon(fun, Arrow(EMPTY_MULTI, want))
+            ad = _canon(arg)
             env = env_sum([fd.conclusion.env, ad.conclusion.env])
             return Derivation(B, "app", Judgment(env, t, want), (fd, ad))
         case Der(inner):
-            pd = _canon_ne(inner, multi(want))
+            pd = _canon(inner, multi(want))
             return Derivation(B, "der", Judgment(pd.conclusion.env, t, want), (pd,))
-        case Sub(_, body, arg):
-            name = _opening(t)
-            bd = _canon_ne(open_var(body, name), want)
-            m = bd.conclusion.env.get(name)
-            ad = _canon_ne(arg, m)
-            env = env_sum([bd.conclusion.env.without(name), ad.conclusion.env])
-            return Derivation(B, "es", Judgment(env, t, want), (bd, ad), binder=name)
-    raise ValueError(f"not a neutral term: {t!r}")
-
-
-def _canon_na_empty(t: Term) -> Derivation:
-    """Type an argument-position normal form with the empty multitype."""
-    match t:
         case Bang(_):
             return Derivation(B, "bang", Judgment(EMPTY_ENV, t, EMPTY_MULTI))
-        case Sub(_, body, arg):
-            name = _opening(t)
-            bd = _canon_na_empty(open_var(body, name))
-            m = bd.conclusion.env.get(name)
-            ad = _canon_ne(arg, m)
-            env = env_sum([bd.conclusion.env.without(name), ad.conclusion.env])
-            return Derivation(B, "es", Judgment(env, t, EMPTY_MULTI), (bd, ad), binder=name)
-        case _:
-            return _canon_ne(t, EMPTY_MULTI)
-
-
-def _canon_no(t: Term) -> Derivation:
-    match t:
         case Abs(_, body):
             name = _opening(t)
-            bd = _canon_no(open_var(body, name))
+            bd = _canon(open_var(body, name))
             m = bd.conclusion.env.get(name)
             return Derivation(
                 B, "abs",
                 Judgment(bd.conclusion.env.without(name), t, Arrow(m, bd.conclusion.type)),
                 (bd,), binder=name)
-        case Bang(_):
-            return Derivation(B, "bang", Judgment(EMPTY_ENV, t, EMPTY_MULTI))
         case Sub(_, body, arg):
             name = _opening(t)
-            bd = _canon_no(open_var(body, name))
+            bd = _canon(open_var(body, name), want)
             m = bd.conclusion.env.get(name)
-            ad = _canon_ne(arg, m)
+            ad = _canon(arg, m)
             env = env_sum([bd.conclusion.env.without(name), ad.conclusion.env])
             return Derivation(B, "es", Judgment(env, t, bd.conclusion.type),
                               (bd, ad), binder=name)
-        case _:
-            return _canon_ne(t, EMPTY_MULTI)
+    raise ValueError(f"not a normal form: {t!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,6 @@
+import hashlib
+import itertools
+
 import hypothesis
 import hypothesis.strategies as st
 import pytest
@@ -9,8 +12,10 @@ from banglab.cbnv import (CBN, CBV, c_meaningful, c_normalize, c_reducts,
                           unembed)
 from banglab.meaning import Budgets, genericity_check, meaningful
 from banglab.reduction import Rule, restricted_step
-from banglab.syntax import (Abs, App, Var, alpha_eq, enum_terms, gen_term,
-                            parse_context, parse_term, plug, print_term)
+from banglab.syntax import (FULL, Abs, AbsBody, App, AppArg, AppFun, Ctx,
+                            SubArg, SubBody, Var, alpha_eq, close_var,
+                            enum_terms, gen_term, parse_context, parse_term,
+                            plug, print_term)
 from banglab.typesys import (B, N, V, grid_typing_set)
 
 p = parse_term
@@ -124,6 +129,32 @@ def test_embed_ctx_homomorphism_cbv_up_to_dereliction():
                     break
                 frontier |= {v for u in frontier for v in restricted_step(u, dbang)}
             assert want in frontier, (c, print_term(t))
+
+
+# sha256 of the reprs of embed_ctx, CBN then CBV, over every context of
+# at most three frames drawn from EMBED_CTX_FRAMES (every bang-free frame
+# kind; the CBV application case with a variable, a banged core under a
+# closure and an application in function position).
+EMBED_CTX_FRAMES = (AppFun(Var("y")), AppArg(Var("x")), AppArg(p("x x")),
+                    AppArg(p("(\\q.q)[s<-z]")), AbsBody("w"), SubBody("w", p("y y")),
+                    SubArg("w", close_var(p("w x"), "w")))
+EMBED_CTX_DIGEST = "4c2ca5bd82cf06e534b48f9e6263305513692923d5267ca81de9b0fd87b13cb7"
+
+
+def test_embed_ctx_is_pinned():
+    h = hashlib.sha256()
+    for k in range(4):
+        for frames in itertools.product(EMBED_CTX_FRAMES, repeat=k):
+            for tag in (CBN, CBV):
+                h.update(repr(embed_ctx(tag, Ctx(FULL, frames))).encode())
+    assert h.hexdigest() == EMBED_CTX_DIGEST
+
+
+def test_embed_ctx_rejects_bang_and_der_frames():
+    for c in ("(!der []) y", "![]", "der []", "x (der [])"):
+        for tag in (CBN, CBV):
+            with pytest.raises(ValueError, match="not a bang-free term"):
+                embed_ctx(tag, parse_context(c, "full"))
 
 
 def test_c_meaningful_corpus():

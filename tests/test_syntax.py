@@ -1,3 +1,5 @@
+import hashlib
+
 import hypothesis
 import hypothesis.strategies as st
 import pytest
@@ -223,6 +225,21 @@ def test_gen_term_deterministic():
 def test_gen_term_size_one_is_variable():
     for seed in range(10):
         assert isinstance(gen_term(seed, 1), Var)
+
+
+# sha256 of the reprs (binder hints included) of gen_term over every
+# profile, sizes 1-20 and seeds 0-99.  The benchmark's meaning items and
+# the sampled suites are drawn from it.
+GEN_DIGEST = "5ef6da234b76c5b4a634e6a151f723507c4e073727b2c84f9c7fff5920a59326"
+
+
+def test_gen_term_is_pinned():
+    h = hashlib.sha256()
+    for profile in ("raw", "bang", "cbn-image", "cbv-image"):
+        for size in range(1, 21):
+            for seed in range(100):
+                h.update(repr(gen_term(seed, size, profile)).encode())
+    assert h.hexdigest() == GEN_DIGEST
 
 
 def test_gen_term_images():

@@ -55,6 +55,15 @@ def test_env_sum_within_card():
     assert env_sum([], 0) is EMPTY_ENV
 
 
+def test_env_rejects_a_repeated_name():
+    for items in ((("x", multi(a)), ("x", multi(b))),
+                  (("y", multi(a)), ("x", multi(a)), ("x", multi(a))),
+                  (("x", EMPTY_MULTI), ("x", multi(a)))):
+        with pytest.raises(ValueError, match="env binds x more than once"):
+            Env(items)
+    assert Env((("y", multi(b)), ("x", multi(a)))).domain() == ("x", "y")
+
+
 def _seed_key(t):
     """The sort key multitype elements were ordered by before types were
     interned, kept as the reference for the order of Multi.elems."""
@@ -323,6 +332,19 @@ def test_typable():
     from banglab.syntax import OMEGA
 
     assert typable(OMEGA, fuel=100) == "unknown"
+
+
+# sha256 of the reprs of canonical_nf_derivation over the clash-free
+# normal forms of enum_terms(6), in enumeration order.
+CANON_DIGEST = "e4883d8e4b32bedfd9036e3ba4205837fd72f05bd604add8a9089164b628795f"
+
+
+def test_canonical_nf_derivations_are_pinned():
+    h = hashlib.sha256()
+    for t in enum_terms(6):
+        if reduction.classify(t).in_no_s:
+            h.update(repr(canonical_nf_derivation(t)).encode())
+    assert h.hexdigest() == CANON_DIGEST
 
 
 def test_typable_agrees_with_enumeration_small():
