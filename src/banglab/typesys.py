@@ -28,11 +28,14 @@ relative to those choices.  The rules of B, N and V are written once,
 in the generator `_rules`, which yields every last-rule instance for a
 term from the items (env and type first) of its subterms.  It has three
 consumers: `_pairs`, the memoised, deduplicated typing tables behind
-`typing_pairs`, the transfer checks and inhabitation; `typings_enumerate`,
-the lazy derivation stream behind `meaningful` and the CLI; and
+`typing_pairs` and inhabitation; `typings_enumerate`, the lazy
+derivation stream behind `meaningful` and the CLI; and
 `find_derivation`, which rebuilds one derivation top-down from the
 `_pairs` tables, taking at each node the first rule instance that
-concludes the wanted typing.
+concludes the wanted typing.  `_pairs` also builds the grid tables, the
+source of `grid_typing_set` and so of the transport and transfer checks:
+the same tables, less the typings that bind a free name past the grid
+(see `_pruned`), dropped as each table is built.
 
 A binder is opened with the `%k` name `_opening` takes from its own
 term, not from where the term occurs, so the tables are keyed by system,
@@ -817,11 +820,17 @@ def _lookup(sys: str, u: Term, items, at) -> Callable[[Type], Sequence]:
     return lambda ty: table.get(ty, ())
 
 
+def _is_opened(name: str) -> bool:
+    """Whether name has the form of a binder name `_opening` makes: `%`
+    followed by digits."""
+    return name[:1] == "%" and name[1:].isdecimal()
+
+
 def _opening(t: Term) -> str:
     """The name an abs/es node t opens its binder with: one past the
     largest %k free in t, or %0.  No typing of t mentions it, since the
     rules drop the binder from every env."""
-    ks = [int(n[1:]) for n in free_vars(t) if n.startswith("%") and n[1:].isdecimal()]
+    ks = [int(n[1:]) for n in free_vars(t) if _is_opened(n)]
     return f"%{max(ks, default=-1) + 1}"
 
 
@@ -939,28 +948,63 @@ def _rules_at(sys: str, t: Term, want: Type, bounds: Bounds, inner
 
 
 @lru_cache(maxsize=None)
-def _pairs(sys: str, t: Term, bounds: Bounds) -> tuple[Pair, ...]:
-    """All (env, type) typings of t within the bounds (deduplicated)."""
+def _pairs(sys: str, t: Term, bounds: Bounds, grid: bool = False) -> tuple[Pair, ...]:
+    """All (env, type) typings of t within the bounds (deduplicated).
+
+    With `grid`, the table grid_typing_set reads: only the typings whose
+    env binds no name outside _is_opened at a multitype deeper than
+    `bounds.depth - 1` (see _pruned).  Its subterms' tables are pruned
+    too, so what is dropped never reaches a rule instance above it."""
     if sys == B and untypable_certificate(t):
         return ()
+    grid_args = (True,) if grid else ()  # the full tables keep the callers' cache keys
 
     def items(u: Term) -> tuple[Pair, ...]:
-        return _pairs(sys, u, bounds)
+        return _pairs(sys, u, bounds, *grid_args)
 
     def at(u: Term):
-        return lambda want: _envs_at(sys, u, want, bounds)
+        return lambda want: _envs_at(sys, u, want, bounds, *grid_args)
 
-    return tuple(dict.fromkeys((r[0], r[1]) for r in _rules(sys, t, bounds, items, at)))
+    rows = ((r[0], r[1]) for r in _rules(sys, t, bounds, items, at))
+    return tuple(dict.fromkeys(_pruned(rows, bounds) if grid else rows))
 
 
 @lru_cache(maxsize=None)
-def _envs_at(sys: str, t: Term, want: Type, bounds: Bounds) -> tuple[Pair, ...]:
+def _envs_at(sys: str, t: Term, want: Type, bounds: Bounds, grid: bool = False
+             ) -> tuple[Pair, ...]:
     """The (env, want) typings of t, deduplicated: from _rules_at for a
-    demand-driven t, else filtered from its table."""
+    demand-driven t, else filtered from its table; with `grid`, from the
+    pruned tables, and pruned as they are."""
+    grid_args = (True,) if grid else ()
     if not _demand_driven(sys, t):
-        return tuple(p for p in _pairs(sys, t, bounds) if p[1] == want)
-    inner = (lambda ty: _envs_at(sys, t.inner, ty, bounds)) if sys == B else None
-    return tuple(dict.fromkeys((r[0], r[1]) for r in _rules_at(sys, t, want, bounds, inner)))
+        return tuple(p for p in _pairs(sys, t, bounds, *grid_args) if p[1] == want)
+    inner = (lambda ty: _envs_at(sys, t.inner, ty, bounds, *grid_args)) if sys == B else None
+    rows = ((r[0], r[1]) for r in _rules_at(sys, t, want, bounds, inner))
+    return tuple(dict.fromkeys(_pruned(rows, bounds) if grid else rows))
+
+
+def _pruned(rows: Iterator[Pair], bounds: Bounds) -> Iterator[Pair]:
+    """The rows whose env binds every name outside _is_opened at depth at
+    most `bounds.depth - 1`.  This is exact: the grid table of a term is
+    its full table less the rows dropped here, and on_grid keeps the same
+    typings of either.
+
+    - every rule builds its conclusion's env as a sum of premise envs,
+      less the binder of an abs/es node;
+    - that binder is always a name _opening makes, one this test keeps;
+    - env_sum only grows bindings and drops the empty ones;
+    - so the binding of any other name in a premise is a sub-multiset of
+      its binding in every conclusion above it, and no shallower.
+
+    So a dropped row lies under no on-grid typing of the root, and each
+    premise of a kept row is kept.  The binder's own binding and the
+    types of subterms cannot be pruned this way, since app and es drop
+    the argument's multitype.  A free name of the root that has a
+    binder's form is kept as well, which only prunes less."""
+    limit = bounds.depth - 1
+    for env, ty in rows:
+        if all(m._depth <= limit or _is_opened(n) for n, m in env.items):
+            yield env, ty
 
 
 def typing_pairs(sys: str, t: Term, bounds: Bounds = Bounds()) -> frozenset[Pair]:
@@ -980,9 +1024,11 @@ def on_grid(pair: Pair, limit: int) -> bool:
 
 
 def grid_typing_set(sys: str, t: Term, bounds: Bounds = Bounds()) -> frozenset[Pair]:
-    """The canonical typings of t on the grid below the depth bound."""
+    """The canonical typings of t on the grid below the depth bound, read
+    from the grid tables (`_pairs` with `grid`), which drop while they
+    are built what cannot reach the grid."""
     return frozenset(canon_typing(p)
-                     for p in typing_pairs(sys, t, bounds) if on_grid(p, bounds.depth - 1))
+                     for p in _pairs(sys, t, bounds, True) if on_grid(p, bounds.depth - 1))
 
 
 @lru_cache(maxsize=None)

@@ -5,6 +5,7 @@ Criteria 1-6 and 10 run the property suites of `banglab.suites` under
 pinned configurations; `banglab prop-test` reproduces each one (see the
 README).  Criteria 7-9 have no matching suite."""
 
+import resource
 import time
 
 from banglab import reduction
@@ -25,9 +26,11 @@ class Gate:
 
     def done(self, failures: int, detail: str = ""):
         elapsed = time.monotonic() - self.start
+        peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # kB on Linux
         status = "PASS" if failures == 0 and elapsed < self.budget else "FAIL"
         print(f"{status} {self.name}: failures={failures} "
-              f"elapsed={elapsed:.1f}s/{self.budget:.0f}s {detail}")
+              f"elapsed={elapsed:.1f}s/{self.budget:.0f}s "
+              f"process_peak_rss_so_far={peak_mb:.0f}MB {detail}")
         assert failures == 0, f"{self.name}: {failures} failures {detail}"
         assert elapsed < self.budget, f"{self.name}: over budget ({elapsed:.1f}s)"
 

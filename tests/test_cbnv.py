@@ -16,7 +16,7 @@ from banglab.syntax import (FULL, Abs, AbsBody, App, AppArg, AppFun, Ctx,
                             SubArg, SubBody, Var, alpha_eq, close_var,
                             enum_terms, gen_term, parse_context, parse_term,
                             plug, print_term)
-from banglab.typesys import (B, N, V, grid_typing_set)
+from banglab.typesys import B, Bounds, N, V, _pairs, grid_typing_set
 
 p = parse_term
 T0 = p("(\\x.y x x) ((\\z.z) (\\z.z))")
@@ -201,6 +201,36 @@ def test_typability_transfer_small():
     for t in enum_terms(4, ("x", "y"), bang_free=True):
         assert grid_typing_set(N, t) == grid_typing_set(B, embed(CBN, t)), print_term(t)
         assert grid_typing_set(V, t) == grid_typing_set(B, embed(CBV, t)), print_term(t)
+
+
+# sha256 of the sorted reprs of the grid typing sets: N, B of the CBN
+# image, V and B of the CBV image of each bang-free term of enum_terms(5),
+# then B of each term of enum_terms(4), in enumeration order.
+GRID_DIGEST = "0e147142528c20ca9471a94e9f77d2a09b09ca32d787ea3055e36d121ed22723"
+
+
+def test_grid_typing_sets_are_pinned():
+    def digest_of(s):
+        return repr(sorted(map(repr, s))).encode()
+
+    h = hashlib.sha256()
+    for t in enum_terms(5, ("x", "y"), bang_free=True):
+        for s in (grid_typing_set(N, t), grid_typing_set(B, embed(CBN, t)),
+                  grid_typing_set(V, t), grid_typing_set(B, embed(CBV, t))):
+            h.update(digest_of(s))
+    for t in enum_terms(4, ("x", "y")):
+        h.update(digest_of(grid_typing_set(B, t)))
+    assert h.hexdigest() == GRID_DIGEST
+
+
+@pytest.mark.parametrize("src", ["\\x1. y (x x1)", "\\x1. x (y x1)"])
+def test_v_grid_table_stays_small(src):
+    # The full V table of each term holds 1,127,251 typings.  All but one
+    # bind a free name past the grid, through the singleton arrow axioms,
+    # and the grid table drops those while it is built.
+    t = p(src)
+    assert grid_typing_set(V, t) == grid_typing_set(B, embed(CBV, t))
+    assert len(_pairs(V, t, Bounds(), True)) <= 50
 
 
 def test_genericity_through_embeddings():

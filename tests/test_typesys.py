@@ -12,11 +12,12 @@ from banglab.typesys import (Arrow, B, Bounds, Derivation, EMPTY_ENV,
                              EMPTY_MULTI, Env, Judgment, Multi, N, TVar, V,
                              args, canonical_nf_derivation, canon_typing,
                              check_derivation, env_sum, find_derivation,
-                             multi, nf_shape, parse_type, print_type,
-                             rename_tvars, typable, typing_pairs,
+                             grid_typing_set, multi, nf_shape, on_grid,
+                             parse_type, print_type, rename_tvars, typable,
+                             typing_pairs,
                              typing_transport_check, typings_enumerate,
                              untypable_certificate, RuleViolation, _ENVS,
-                             _MULTIS, _opening, _pairs)
+                             _MULTIS, _is_opened, _opening, _pairs)
 
 p = parse_term
 a, b = TVar("a"), TVar("b")
@@ -175,6 +176,40 @@ def test_typing_tables_are_pinned():
         for t in enum_terms(4, bang_free=bang_free):
             h.update(repr(_pairs(sys, t, Bounds())).encode())
     assert h.hexdigest() == PAIRS_DIGEST
+
+
+def test_opened_binder_names():
+    assert _is_opened("%0") and _is_opened("%12")
+    assert not any(_is_opened(n) for n in ("%", "x", "x%0", "%x", "%1a", ""))
+    assert _opening(p("\\x. %0 x")) == "%1"
+
+
+def _assert_grid_table_exact(sys, t, bounds=Bounds()):
+    """The grid table is the full table less the typings with a deep
+    binding of a name that is not a binder name, and grid_typing_set
+    reads the same grid off either table."""
+    limit = bounds.depth - 1
+    full = typing_pairs(sys, t, bounds)
+    kept = {q for q in full
+            if all(m._depth <= limit or _is_opened(n) for n, m in q[0].items)}
+    assert set(_pairs(sys, t, bounds, True)) == kept, (sys, t)
+    on_full_grid = frozenset(canon_typing(q) for q in full if on_grid(q, limit))
+    assert grid_typing_set(sys, t, bounds) == on_full_grid, (sys, t)
+
+
+@pytest.mark.parametrize("src", ["\\x. %0 x", "%0 (\\x. x x)", "%0 %1 y", "\\x. y (x %0)"])
+def test_grid_table_with_a_free_binder_name(src):
+    for sys in (B, N, V):
+        _assert_grid_table_exact(sys, p(src))
+
+
+@hypothesis.given(st.integers(0, 10_000), st.integers(1, 5),
+                  st.sampled_from(["raw", "bang", "cbn-image", "cbv-image"]))
+@hypothesis.settings(max_examples=40, deadline=None)
+def test_grid_table_matches_the_full_table(seed, size, profile):
+    t = gen_term(seed, size, profile)
+    for sys in (B, N, V):
+        _assert_grid_table_exact(sys, t)
 
 
 def test_args():
