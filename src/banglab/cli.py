@@ -21,6 +21,14 @@ from .syntax import (free_vars, parse_term, print_term, term_to_json,
 from .typesys import Bounds, parse_type
 
 
+def natural(text: str) -> int:
+    """The type of the bounds and count flags: a non-negative integer."""
+    n = int(text)
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {n}")
+    return n
+
+
 def _bounds(ns) -> Bounds:
     return Bounds(card=ns.card, pool=ns.pool, depth=ns.depth)
 
@@ -234,16 +242,14 @@ def main(argv=None) -> int:
     default_seed = int(os.environ.get("BANGLAB_SEED", "1"))
     top = argparse.ArgumentParser(prog="banglab")
     top.add_argument("--json", action="store_true", help="emit JSON")
-    top.add_argument("--fuel", type=int, default=200)
-    top.add_argument("--card", type=int, default=2, help="multiset cardinality bound")
-    top.add_argument("--depth", type=int, default=3, help="type depth bound")
-    top.add_argument("--pool", type=int, default=2, help="type variable pool size")
+    top.add_argument("--fuel", type=natural, default=200)
+    top.add_argument("--card", type=natural, default=2, help="multiset cardinality bound")
+    top.add_argument("--depth", type=natural, default=3, help="type depth bound")
+    top.add_argument("--pool", type=natural, default=2, help="type variable pool size")
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", default=argparse.SUPPRESS)
-    common.add_argument("--fuel", type=int, default=argparse.SUPPRESS)
-    common.add_argument("--card", type=int, default=argparse.SUPPRESS)
-    common.add_argument("--depth", type=int, default=argparse.SUPPRESS)
-    common.add_argument("--pool", type=int, default=argparse.SUPPRESS)
+    for flag in ("--fuel", "--card", "--depth", "--pool"):
+        common.add_argument(flag, type=natural, default=argparse.SUPPRESS)
     sub = top.add_subparsers(dest="command", required=True)
 
     def add(name, fn, **kwargs):
@@ -266,7 +272,7 @@ def main(argv=None) -> int:
     p = add("typings", cmd_typings)
     p.add_argument("term")
     p.add_argument("--system", choices=["B", "N", "V"], default="B")
-    p.add_argument("--limit", type=int, default=20)
+    p.add_argument("--limit", type=natural, default=20)
     p = add("check-derivation", cmd_check_derivation)
     p.add_argument("file", help="JSON derivation ('-' for stdin)")
     p = add("inhabit", cmd_inhabit)
@@ -285,8 +291,8 @@ def main(argv=None) -> int:
     p = add("prop-test", cmd_prop_test)
     p.add_argument("--suite", required=True, choices=sorted(suites.SUITES))
     p.add_argument("--seed", type=int, default=default_seed)
-    p.add_argument("--count", type=int, default=200)
-    p.add_argument("--size", type=int, default=8)
+    p.add_argument("--count", type=natural, default=200)
+    p.add_argument("--size", type=natural, default=8)
     p = add("corpus", cmd_corpus)
     p.set_defaults(seed=default_seed, count=1, size=8)
 

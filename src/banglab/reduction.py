@@ -11,6 +11,16 @@ Surface reduction closes the rules under all contexts except under a
 bang; full reduction has no restriction.  The call-by-name and
 call-by-value calculi of `cbnv` run on the same engine under the CBN and
 CBV closures, with their own substitution rules.
+
+Leftmost-outermost reduction (`normalize`, the default policy of `step`,
+and `classify`'s test for a redex) is one preorder walk on a zipper
+(Huet, "The Zipper", JFP 1997): a stack of (parent, child index) frames
+from the root down to the focus.  After a contraction the walk re-checks
+a single ancestor and then resumes at the contracted position instead of
+searching again from the root (`_walk` holds the proof), and a parent is
+rebuilt only when the walk climbs past it with a changed child.  So a
+step costs time linear in the depth of the term.  `subterms`, `redexes`
+and `static_clashes` list every position and keep tuple positions.
 """
 
 from __future__ import annotations
@@ -20,9 +30,9 @@ from enum import Enum
 from functools import partial
 from typing import Callable, Iterable, Iterator, Optional
 
-from .syntax import (Abs, App, Bang, Der, Idx, Position, Sub, Term, Var,
-                     peel_subs, rebuild_subs, replace_at, shift_free,
-                     subst_bound)
+from .syntax import (Abs, App, Bang, Der, Idx, Path, Position, Sub, Term,
+                     Var, peel_subs, rebuild_subs, replace_at, shift_free,
+                     subst_bound, with_child, zip_up)
 
 SURFACE = "surface"
 FULL = "full"
@@ -87,6 +97,18 @@ def _contract_cbnv(closure: str, t: Term) -> Optional[tuple[Rule, Term]]:
     return None
 
 
+def _rules(closure: str) -> Callable[[Term], Optional[tuple[Rule, Term]]]:
+    """The contraction of the closure's rules at the root of a term."""
+    return contract if closure in (SURFACE, FULL) else partial(_contract_cbnv, closure)
+
+
+def _entries(closure: str) -> tuple[bool, bool, bool, bool]:
+    """Which children the closure enters: abstraction bodies, arguments
+    (of applications and closures), dereliction and bang contents."""
+    return (closure != CBV, closure != CBN, closure in (SURFACE, FULL),
+            closure == FULL)
+
+
 def subterms(t: Term, closure: str = SURFACE) -> Iterator[tuple[Position, Term]]:
     """The subterms at the positions the closure reaches, in preorder,
     which is lexicographic (leftmost-outermost) position order.
@@ -95,16 +117,13 @@ def subterms(t: Term, closure: str = SURFACE) -> Iterator[tuple[Position, Term]]
     enters abstraction bodies but no argument, CBV arguments but no
     abstraction body, and neither enters a bang or a dereliction.  The
     walk keeps its own stack, so any depth of t is safe."""
-    enter_body = closure != CBV
-    enter_arg = closure != CBN
-    enter_der = closure in (SURFACE, FULL)
-    enter_bang = closure == FULL
+    enter_body, enter_arg, enter_der, enter_bang = _entries(closure)
     stack: list[tuple[Position, Term]] = [((), t)]
     while stack:
         pos, u = stack.pop()
         yield pos, u
-        # Dispatch on the exact node class: this loop is the hot path of
-        # every reduction, and it runs faster than a match statement.
+        # Dispatch on the exact node class: this loop is a hot path, and
+        # it runs faster than a match statement.
         kind = type(u)
         if kind is App or kind is Sub:
             if enter_arg:
@@ -116,21 +135,106 @@ def subterms(t: Term, closure: str = SURFACE) -> Iterator[tuple[Position, Term]]
             stack.append((pos + (0,), u.inner))
 
 
-def _iter_redexes(t: Term, closure: str) -> Iterator[Redex]:
-    rules = contract if closure in (SURFACE, FULL) else partial(_contract_cbnv, closure)
-    for pos, u in subterms(t, closure):
-        hit = rules(u)
-        if hit is not None:
-            yield Redex(pos, *hit)
-
-
 def redexes(t: Term, closure: str = SURFACE) -> list[Redex]:
     """All redexes legal under the closure, in leftmost-outermost order."""
-    return list(_iter_redexes(t, closure))
+    rules = _rules(closure)
+    return [Redex(pos, *hit) for pos, u in subterms(t, closure)
+            if (hit := rules(u)) is not None]
 
 
 def apply_redex(t: Term, r: Redex) -> Term:
     return replace_at(t, r.position, r.contractum)
+
+
+def _walk(t: Term, closure: str, fuel: int,
+          trace: Optional[list[tuple[Rule, Position, Term]]] = None
+          ) -> tuple[Path, Term, Optional[tuple[Rule, Term]], int]:
+    """Leftmost-outermost reduction of t as one preorder walk on a zipper.
+
+    The walk checks the focus with the closure's rules.  At a redex it
+    contracts in place, unless `fuel` steps are spent; at a non-redex it
+    descends into the first child the closure enters, or climbs to the
+    next such right sibling, rebuilding a parent on the way up only if its
+    child changed; so in a frame (node, i) of the path every child of
+    node but the i-th is current.  Returns the path and focus where it
+    stopped, the redex found there (None when t is normal, the path then
+    empty and the focus the normal form) and the number of steps.  Each
+    step appends (rule, position, term) to `trace`, if one is given.
+
+    Why the walk resumes at the contracted position p instead of at the
+    root.  Before the step, no position before p in preorder was a
+    redex: the walk had checked each of them.  After it:
+    - A position q before p that is not an ancestor of p keeps its
+      subterm, which is disjoint from p, and its closure context, which
+      depends only on the node kinds on the path to q; so q is still no
+      redex.
+    - A rule looks below its root only through one child's closure
+      spine: an application's function, a closure's argument, a
+      dereliction's argument, each peeled of the closures around its
+      body (`peel_subs`).  So an ancestor a of p can change its status
+      only if the path from a to p is that child followed by closure
+      bodies alone.  Climbing from p over the run of closure-body frames
+      directly above it, the first frame met is the only such ancestor:
+      every ancestor above it reaches p through that frame's child,
+      which is not a closure body.
+    So re-checking that one ancestor decides.  If it is now a redex, it
+    is the first redex, and the focus moves up to it; otherwise the
+    first redex is at or after p, and the walk continues from p.  Each
+    step costs the run of closures above p plus the walk, so a step is
+    linear in the depth of t, and positions are built only for `trace`.
+    """
+    rules = _rules(closure)
+    enter_body, enter_arg, enter_der, enter_bang = _entries(closure)
+    path: Path = []
+    focus, steps = t, 0
+    hit = rules(focus)
+    while True:
+        if hit is not None:
+            if steps >= fuel:
+                return path, focus, hit, steps
+            rule, focus = hit
+            steps += 1
+            if trace is not None:
+                trace.append((rule, tuple(i for _, i in path), zip_up(path, focus)))
+            # the one ancestor whose status the step can have changed
+            j, above = len(path), focus
+            while j and path[j - 1][1] == 0 and type(path[j - 1][0]) is Sub:
+                j -= 1
+                above = with_child(*path[j], above)
+            if j:
+                j -= 1
+                above = with_child(*path[j], above)
+                hit = rules(above)
+                if hit is not None:
+                    del path[j:]
+                    focus = above
+                    continue
+            hit = rules(focus)
+            continue
+        # Dispatch on the exact node class: this loop is the hot path of
+        # every reduction, and it runs faster than a match statement.
+        kind = type(focus)
+        if kind is App or kind is Sub:
+            path.append((focus, 0))
+            focus = focus.fun if kind is App else focus.body
+        elif kind is Abs and enter_body:
+            path.append((focus, 0))
+            focus = focus.body
+        elif (kind is Der and enter_der) or (kind is Bang and enter_bang):
+            path.append((focus, 0))
+            focus = focus.inner
+        else:
+            while path:
+                node, i = path.pop()
+                kind = type(node)
+                if i == 0 and enter_arg and (kind is App or kind is Sub):
+                    path.append((with_child(node, 0, focus), 1))
+                    focus = node.arg
+                    break
+                focus = with_child(node, i, focus)
+            else:
+                return path, focus, None, steps
+        hit = rules(focus)
 
 
 def step(t: Term, closure: str = SURFACE, policy="leftmost-outermost") -> Optional[Term]:
@@ -139,8 +243,8 @@ def step(t: Term, closure: str = SURFACE, policy="leftmost-outermost") -> Option
     policy is "leftmost-outermost" or an integer index into redexes(t).
     """
     if policy == "leftmost-outermost":
-        r = next(_iter_redexes(t, closure), None)
-        return None if r is None else apply_redex(t, r)
+        path, _, hit, _ = _walk(t, closure, 0)
+        return None if hit is None else zip_up(path, hit[1])
     rs = redexes(t, closure)
     return apply_redex(t, rs[policy]) if rs else None
 
@@ -159,19 +263,12 @@ class ReduceOutcome:
 
 def normalize(t: Term, closure: str = SURFACE, fuel: int = 1000,
               keep_trace: bool = False) -> ReduceOutcome:
-    """Iterate leftmost-outermost steps until normal or out of fuel.
-
-    Each step contracts only the first redex the walk meets."""
+    """Iterate leftmost-outermost steps until normal or out of fuel, in one
+    walk (`_walk`) that resumes each search where the last step was."""
     trace: list[tuple[Rule, Position, Term]] = []
-    steps = 0
-    while (r := next(_iter_redexes(t, closure), None)) is not None:
-        if steps >= fuel:
-            return ReduceOutcome("fuel-exhausted", t, steps, tuple(trace))
-        t = apply_redex(t, r)
-        steps += 1
-        if keep_trace:
-            trace.append((r.rule, r.position, t))
-    return ReduceOutcome("normalized", t, steps, tuple(trace))
+    path, focus, hit, steps = _walk(t, closure, fuel, trace if keep_trace else None)
+    status = "normalized" if hit is None else "fuel-exhausted"
+    return ReduceOutcome(status, zip_up(path, focus), steps, tuple(trace))
 
 
 def reducts(t: Term, closure: str = SURFACE) -> list[Term]:
@@ -271,7 +368,7 @@ def _grammar_flags(t: Term) -> tuple[bool, bool, bool]:
 
 def classify(t: Term) -> NfClass:
     """Surface classification per the clash-free NF grammar."""
-    if next(_iter_redexes(t, SURFACE), None) is not None:
+    if _walk(t, SURFACE, 0)[2] is not None:
         return NfClass.NOT_NORMAL
     ne, na, nb = _grammar_flags(t)
     if ne:

@@ -310,17 +310,36 @@ def _rebuild(t: Term, kids: Sequence[Term]) -> Term:
     return kind(*kids)
 
 
+def with_child(t: Term, i: int, new: Term) -> Term:
+    """t itself if its i-th child is `new`, else t rebuilt around it."""
+    kids = children(t)
+    if kids[i] is new:
+        return t
+    kids = list(kids)
+    kids[i] = new
+    return _rebuild(t, kids)
+
+
+# A zipper path: frames (node, i) from the root down to a focus, which lies
+# in the i-th child of node.
+Path = list[tuple[Term, int]]
+
+
+def zip_up(path: Path, focus: Term) -> Term:
+    """The whole term: `focus` plugged back into the frames of `path`,
+    sharing every node whose child did not change."""
+    for node, i in reversed(path):
+        focus = with_child(node, i, focus)
+    return focus
+
+
 def replace_at(t: Term, pos: Position, new: Term) -> Term:
     """t with the subterm at `pos` replaced by `new`."""
     path = []
     for i in pos:
-        path.append(t)
+        path.append((t, i))
         t = children(t)[i]
-    for node, i in zip(reversed(path), reversed(pos)):
-        kids = list(children(node))
-        kids[i] = new
-        new = _rebuild(node, kids)
-    return new
+    return zip_up(path, new)
 
 
 # ---------------------------------------------------------------------------

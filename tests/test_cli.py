@@ -260,3 +260,20 @@ def test_seed_env_var(capsys, monkeypatch):
 def test_corpus_suite(capsys):
     code, out, _ = run(capsys, "corpus")
     assert code == 0 and "fail=0" in out
+
+
+def test_count_flags_reject_negative_values(capsys):
+    for argv in (("normalize", "(\\x.x) !y", "--fuel", "-1"),
+                 ("reduce", "(\\x.x) !y", "--fuel", "-1"),
+                 ("--fuel", "-1", "normalize", "x"),
+                 ("normalize", "x", "--card", "-1"),
+                 ("--depth", "-3", "normalize", "x"),
+                 ("normalize", "x", "--pool", "-1"),
+                 ("typings", "x", "--fuel", "ten"),
+                 ("typings", "x", "--limit", "-1"),
+                 ("prop-test", "--suite", "measure", "--count", "-5"),
+                 ("prop-test", "--suite", "grammar", "--size", "-2")):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "" and "error: argument --" in err, argv
+    code, out, _ = run(capsys, "normalize", "(\\x.x) !y", "--fuel", "0")
+    assert code == 0 and out.startswith("fuel-exhausted after 0 steps")

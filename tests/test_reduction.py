@@ -1,18 +1,54 @@
 import itertools
+import operator
+import time
 
 import hypothesis
 import hypothesis.strategies as st
+import pytest
 
+from banglab.cbnv import embed
 from banglab.reduction import (CBN, CBV, DB_DBANG, FULL, SBANG_ONLY, SURFACE,
                                NfClass, Rule, apply_redex, clash_free,
                                classify, joinable, normalize, redexes,
                                reducts, restricted_step, step, static_clashes,
                                subterms)
-from banglab.syntax import (Abs, App, Bang, Der, OMEGA, Var, enum_terms,
-                            free_vars, gen_term, parse_term, print_term,
-                            subterm_at, term_size)
+from banglab.syntax import (Abs, App, Bang, Der, Idx, OMEGA, Sub, Var,
+                            children, enum_terms, free_vars, gen_term,
+                            parse_term, print_term, subterm_at, term_size)
 
 p = parse_term
+CLOSURES = (SURFACE, FULL, CBN, CBV)
+
+
+def restart_oracle(t, closure, fuel):
+    """Leftmost-outermost reduction that searches from the root after
+    every step: (status, term, trace) as `normalize` must give them."""
+    trace = []
+    while (rs := redexes(t, closure)) and len(trace) < fuel:
+        t = apply_redex(t, rs[0])
+        trace.append((rs[0].rule, rs[0].position, t))
+    return ("fuel-exhausted" if rs else "normalized"), t, trace
+
+
+def same_term(t, u) -> bool:
+    """== on terms without recursion: the Church normal forms below nest
+    about 500 levels, past what dataclass equality survives."""
+    stack = [(t, u)]
+    while stack:
+        a, b = stack.pop()
+        if type(a) is not type(b) or (type(a) in (Var, Idx) and a != b):
+            return False
+        stack += zip(children(a), children(b))
+    return True
+
+
+def assert_matches_oracle(t, closure, fuel, same=operator.eq):
+    out = normalize(t, closure, fuel, keep_trace=True)
+    status, nf, trace = restart_oracle(t, closure, fuel)
+    assert (out.status, out.steps, len(out.trace)) == (status, len(trace), len(trace))
+    for (rule, pos, u), (want_rule, want_pos, want) in zip(out.trace, trace):
+        assert (rule, pos) == (want_rule, want_pos) and same(u, want)
+    assert same(out.term, nf)
 
 
 def test_subterms_walk_in_position_order():
@@ -42,17 +78,72 @@ def test_redex_scans_survive_deep_terms():
 
 
 def test_normalize_survives_deep_terms():
+    # a step is linear in depth: the restart-from-root loop took 2.3 s for
+    # this normalize and 0.8 s for the one step
     t = App(p("\\z.z"), Bang(Var("y")))
-    for _ in range(10_000):
+    for _ in range(20_000):
         t = Abs("x", t)
+    start = time.perf_counter()
     out = normalize(t, SURFACE)
+    normalize_s = time.perf_counter() - start
+    start = time.perf_counter()
+    stepped = step(t, SURFACE)
+    step_s = time.perf_counter() - start
     assert out.normalized and out.steps == 2
+    assert normalize_s < 0.5 and step_s < 0.5, (normalize_s, step_s)
     # walk down by hand: ==, hash and print_term recurse
-    u = out.term
-    for _ in range(10_000):
-        assert isinstance(u, Abs)
-        u = u.body
-    assert u == Var("y")
+    u, v = out.term, stepped
+    for _ in range(20_000):
+        assert isinstance(u, Abs) and isinstance(v, Abs)
+        u, v = u.body, v.body
+    assert u == Var("y") and v == Sub("z", Idx(0), Bang(Var("y")))
+
+
+def test_normalize_matches_the_oracle_exhaustive_small():
+    for t, closure in itertools.product(enum_terms(5), CLOSURES):
+        for fuel in (3, 50):
+            assert_matches_oracle(t, closure, fuel)
+        _, _, trace = restart_oracle(t, closure, 1)
+        assert step(t, closure) == (trace[0][2] if trace else None)
+
+
+def test_a_step_can_make_a_redex_at_a_distance_above_it():
+    # the contractum lands in a closure body that an application's function,
+    # a closure's argument or a dereliction's argument reaches at a distance
+    for source, rules in (("((der !(\\a.a))[y<-z]) w", [Rule.DBANG, Rule.DB]),
+                          ("x[x<-(der !!w)[y<-z]]", [Rule.DBANG, Rule.SBANG]),
+                          ("der ((der !!w)[y<-z])", [Rule.DBANG, Rule.DBANG])):
+        t = p(source)
+        for closure in (SURFACE, FULL):
+            assert [r for r, _, _ in normalize(t, closure, 10, keep_trace=True).trace] == rules
+            assert_matches_oracle(t, closure, 10)
+
+
+@hypothesis.given(st.integers(0, 10_000), st.integers(1, 16),
+                  st.sampled_from(("raw", "bang", "cbn-image", "cbv-image")),
+                  st.sampled_from(CLOSURES), st.integers(0, 60))
+@hypothesis.settings(max_examples=150, deadline=None)
+def test_normalize_matches_the_oracle_on_generated_terms(seed, size, profile,
+                                                         closure, fuel):
+    assert_matches_oracle(gen_term(seed, size, profile), closure, fuel)
+
+
+def church(n):
+    body = Idx(0)
+    for _ in range(n):
+        body = App(Idx(1), body)
+    return Abs("f", Abs("x", body))
+
+
+ARITHMETIC = {"add": "\\m.\\n.\\f.\\x.m f (n f x)", "mul": "\\m.\\n.\\f.m (n f)",
+              "pow": "\\b.\\e.e b"}
+
+
+@pytest.mark.parametrize("op, a, b", [("add", 64, 64), ("mul", 16, 16), ("pow", 2, 8)])
+def test_normalize_matches_the_oracle_on_church_arithmetic(op, a, b):
+    source = App(App(p(ARITHMETIC[op]), church(a)), church(b))
+    for tag, closure in itertools.product((CBN, CBV), (FULL, SURFACE)):
+        assert_matches_oracle(embed(tag, source), closure, 10_000, same_term)
 
 
 def test_distance_redex():
