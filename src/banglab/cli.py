@@ -9,6 +9,7 @@ the seeded property suites.  Exit codes: 0 success, 1 property failure,
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import sys
@@ -95,15 +96,13 @@ def cmd_measure(ns) -> int:
 def cmd_typings(ns) -> int:
     t = parse_term(ns.term)
     shown = 0
-    for d in typesys.typings_enumerate(ns.system, t, _bounds(ns)):
+    for d in itertools.islice(typesys.typings_enumerate(ns.system, t, _bounds(ns)), ns.limit):
         if ns.json:
             print(json.dumps(d.to_json()))
         else:
             print(str(d.conclusion))
         shown += 1
-        if shown >= ns.limit:
-            break
-    if not shown:
+    if not shown and ns.limit:
         print("no typings within bounds", file=sys.stderr)
     return 0
 

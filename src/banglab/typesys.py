@@ -32,10 +32,15 @@ consumers: `_pairs`, the memoised, deduplicated typing tables behind
 derivation stream behind `meaningful` and the CLI; and
 `find_derivation`, which rebuilds one derivation top-down from the
 `_pairs` tables, taking at each node the first rule instance that
-concludes the wanted typing.  `_pairs` also builds the grid tables, the
-source of `grid_typing_set` and so of the transport and transfer checks:
-the same tables, less the typings that bind a free name past the grid
-(see `_pruned`), dropped as each table is built.
+concludes the wanted typing.  A rule that forms a multitype (the B bang,
+the V abstraction, a bang demanded at a multitype) yields its empty
+family before it reads a premise, and a subterm's items are indexed by
+type on the first query only, so the lazy stream reads a premise only
+when a non-empty multitype asks for it: `|- !t : []` comes at once,
+whatever t is.  `_pairs` also builds the grid tables, the source of
+`grid_typing_set` and so of the transport and transfer checks: the same
+tables, less the typings that bind a free name past the grid (see
+`_pruned`), dropped as each table is built.
 
 A binder is opened with the `%k` name `_opening` takes from its own
 term, not from where the term occurs, so the tables are keyed by system,
@@ -50,7 +55,7 @@ import weakref
 from dataclasses import dataclass
 from functools import lru_cache
 from operator import attrgetter, itemgetter
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from . import reduction
 from .syntax import (Abs, App, Bang, Der, Idx, Sub, Term, Var, free_vars,
@@ -746,11 +751,13 @@ def _profile_sums(profiles: Sequence[tuple[tuple[str, int], ...]], counts: Seque
     return True
 
 
-def _grouped_multisets(items: Sequence, card: int) -> Iterator[tuple]:
+def _grouped_multisets(items: Iterable, card: int) -> Iterator[tuple]:
     """Multisets of at most `card` items whose summed environment (each
     item's first entry) stays within the per-variable cardinality bound.
-    Items are bucketed by env profile so infeasible regions are skipped
-    wholesale (output-linear in practice)."""
+    The empty multiset comes first, before a single item is read; then
+    the items are bucketed by env profile, so infeasible regions are
+    skipped wholesale."""
+    yield ()
     buckets: dict[tuple, list] = {}
     for it in items:
         buckets.setdefault(_env_profile(it[0]), []).append(it)
@@ -766,7 +773,8 @@ def _grouped_multisets(items: Sequence, card: int) -> Iterator[tuple]:
                 return  # larger counts only increase the sums
             yield from assignments(i + 1, left - k, trial)
 
-    for counts in assignments(0, card, ()):
+    # the first assignment is all zeros: the empty multiset, yielded above
+    for counts in itertools.islice(assignments(0, card, ()), 1, None):
         pools = [
             list(itertools.combinations_with_replacement(buckets[keys[i]], k)) if k else [()]
             for i, k in enumerate(counts)
@@ -811,13 +819,20 @@ def _demand_driven(sys: str, t: Term) -> bool:
 
 def _lookup(sys: str, u: Term, items, at) -> Callable[[Type], Sequence]:
     """A function from a type to the items typing u exactly at it: `at`
-    for a demand-driven u, else u's items indexed by type once."""
+    for a demand-driven u, else u's items indexed by type on the first
+    query, so a lookup that is never queried reads none of them."""
     if _demand_driven(sys, u):
         return at(u)
-    table: dict[Type, list] = {}
-    for it in items(u):
-        table.setdefault(it[1], []).append(it)
-    return lambda ty: table.get(ty, ())
+    table: Optional[dict[Type, list]] = None
+
+    def get(ty: Type) -> Sequence:
+        nonlocal table
+        if table is None:
+            table = {}
+            for it in items(u):
+                table.setdefault(it[1], []).append(it)
+        return table.get(ty, ())
+    return get
 
 
 def _is_opened(name: str) -> bool:
@@ -863,11 +878,9 @@ def _rules(sys: str, t: Term, bounds: Bounds, items, at,
             if sys == V:
                 # Fold the binder into the arrow before combining, so the
                 # card bound applies to the residual environments only.
-                folded = []
-                for it in sub:
-                    a = Arrow(it[0].get(name), it[1])
-                    if (want is None or a in elems) and a._depth <= bounds.depth:
-                        folded.append((it[0].without(name), a, it))
+                arrows = ((it, Arrow(it[0].get(name), it[1])) for it in sub)
+                folded = ((it[0].without(name), a, it) for it, a in arrows
+                          if (want is None or a in elems) and a._depth <= bounds.depth)
                 for fam in _grouped_multisets(folded, card):
                     yield (env_sum([f[0] for f in fam]), Multi(tuple(f[1] for f in fam)),
                            "abs", tuple(f[2] for f in fam), name)
@@ -904,8 +917,8 @@ def _rules(sys: str, t: Term, bounds: Bounds, items, at,
                         yield env, b[1], "es", (b, *fam), name
         case Bang(inner):
             if sys == B:
-                sub = [it for it in items(inner)
-                       if (want is None or it[1] in elems) and it[1]._depth < bounds.depth]
+                sub = (it for it in items(inner)
+                       if (want is None or it[1] in elems) and it[1]._depth < bounds.depth)
                 for fam in _grouped_multisets(sub, card):
                     yield (env_sum([it[0] for it in fam]), Multi(tuple(it[1] for it in fam)),
                            "bang", fam, None)

@@ -79,6 +79,12 @@ def test_typings(capsys):
     assert code == 0 and out.count("|-") == 3
 
 
+def test_typings_limit_zero_prints_nothing(capsys):
+    assert run(capsys, "typings", "x", "--limit", "0") == (0, "", "")
+    code, out, _ = run(capsys, "typings", "x", "--limit", "1")
+    assert code == 0 and out == "x: [a] |- x : a\n"
+
+
 def test_inhabit(capsys):
     code, out, _ = run(capsys, "inhabit", "--system", "B", "--type", "[a]->[a]")
     assert code == 0 and "\\w0. !w0" in out

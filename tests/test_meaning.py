@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from banglab import reduction
@@ -28,6 +30,26 @@ CORPUS = {
 def test_corpus_verdicts():
     for s, want in CORPUS.items():
         assert meaningful(p(s), BUD).status == want, s
+
+
+# sha256 of meaningful()'s status, reason and evidence (context frames,
+# typing, derivation) at the default budgets, for gen_term seeds 0-3,
+# sizes 3-12 and the four profiles, in that order.  It pins the verdicts
+# and witnesses: 123 meaningful, 26 meaningless, 11 unknown.
+VERDICTS_DIGEST = "4a87684fdfe2b3247aebd0026c8520a075db0c4e9ba869ad829373078abf3a27"
+
+
+def test_verdicts_and_evidence_are_pinned():
+    h = hashlib.sha256()
+    for seed in range(4):
+        for size in range(3, 13):
+            for profile in ("bang", "raw", "cbn-image", "cbv-image"):
+                v = meaningful(gen_term(seed, size, profile))
+                ev = v.evidence
+                row = (v.status, v.reason) + (
+                    (ev.context.frames, ev.typing, ev.derivation) if ev else ())
+                h.update(repr(row).encode())
+    assert h.hexdigest() == VERDICTS_DIGEST
 
 
 def test_divergent_stay_unknown():

@@ -6,7 +6,7 @@ import hypothesis
 import hypothesis.strategies as st
 import pytest
 
-from banglab import reduction
+from banglab import reduction, typesys
 from banglab.syntax import Abs, App, Bang, Idx, Var, enum_terms, gen_term, parse_term
 from banglab.typesys import (Arrow, B, Bounds, Derivation, EMPTY_ENV,
                              EMPTY_MULTI, Env, Judgment, Multi, N, TVar, V,
@@ -354,6 +354,38 @@ def test_v_system_abs_empty_family():
     # any abstraction types with the empty multitype, body untyped
     ds = list(typings_enumerate(V, p("\\x.x x")))
     assert any(d.conclusion.typing == (EMPTY_ENV, EMPTY_MULTI) for d in ds)
+
+
+def _record_draws(monkeypatch) -> list:
+    """Wrap typesys._rules so that the returned list records each subject
+    when its first rule instance is drawn, not when its generator is made."""
+    drawn, rules = [], typesys._rules
+
+    def recording(sys, t, *rest):
+        for i, instance in enumerate(rules(sys, t, *rest)):
+            if i == 0:
+                drawn.append(t)
+            yield instance
+    monkeypatch.setattr(typesys, "_rules", recording)
+    return drawn
+
+
+@pytest.mark.parametrize("sys, src, typing, premise", [
+    # the bang rule's empty family
+    (B, "!(x (y !x))", (EMPTY_ENV, EMPTY_MULTI), "x (y !x)"),
+    # V abstraction's empty family, over the opened body
+    (V, "\\x. x (y x)", (EMPTY_ENV, EMPTY_MULTI), "%0 (y %0)"),
+    # a bang argument demanded at []
+    (B, "x !(y (w !y))", (Env.of({"x": multi(Arrow(EMPTY_MULTI, a))}), a), "y (w !y)"),
+])
+def test_the_empty_family_reads_no_premise(monkeypatch, sys, src, typing, premise):
+    drawn = _record_draws(monkeypatch)
+    ds = typings_enumerate(sys, p(src))
+    assert next(ds).conclusion.typing == typing
+    assert p(premise) not in drawn
+    for _ in ds:
+        pass
+    assert p(premise) in drawn  # the premise has instances, drawn once asked for
 
 
 def test_v_var_whole_multitype():
