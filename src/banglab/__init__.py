@@ -17,12 +17,12 @@ from .typesys import (Arrow, Bounds, Derivation, Env, Judgment, Multi, TVar,
                       Type, args, check_derivation, env_sum, nf_shape,
                       typable, typing_pairs, typing_transport_check,
                       typings_enumerate)
-from .inhabitation import InhBounds, InhResult, inhabit, inhabit_env, testable
+from .inhabitation import InhResult, inhabit, inhabit_env, testable
 from .meaning import (Budgets, MeaningVerdict, build_testing_context,
                       check_testable_everywhere, discriminate,
                       genericity_check, meaningful)
-from .cbnv import (CBN, CBV, c_meaningful, c_normalize, c_step, embed,
-                   embed_ctx, simulate_check, transfer_check, unembed)
+from .cbnv import (CBN, CBV, c_meaningful, embed, embed_ctx, simulate_check,
+                   transfer_check, unembed)
 from .suites import Report, SuiteConfig, run_suite
 
 __all__ = [name for name in dir() if not name.startswith("_")]

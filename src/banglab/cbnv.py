@@ -7,6 +7,9 @@ rule; they differ in the surface contexts and the substitution rule:
     CBN:  t[x<-u]      -> t{x:=u}          anywhere surface, under lambda
     CBV:  t[x<-L<v>]   -> L<t{x:=v}>       v a value; never under lambda
 
+Both run on the engine of `reduction`: `step`, `reducts` and `normalize`
+take the tag (CBN or CBV) as their closure.
+
 The embeddings decorate terms with bangs so that CBN arguments and CBV
 values become substitutable; the CBV application case strips a banged
 function core to keep normal forms aligned.
@@ -21,7 +24,7 @@ from typing import Optional
 
 from . import meaning, reduction
 from .meaning import Budgets, MeaningVerdict, MEANINGFUL, UNKNOWN
-from .reduction import CBN, CBV, ReduceOutcome, is_value
+from .reduction import CBN, CBV, is_value
 from .syntax import (Abs, App, AppFun, AbsBody, Bang, Ctx, Der, FULL, HOLE, I,
                      Idx, Sub, Term, TESTING, Var, alpha_eq, context_of,
                      fresh_name, free_vars, lam, open_var, peel_subs, plug,
@@ -51,22 +54,6 @@ def is_cterm(t: Term) -> bool:
 def require_cterm(t: Term):
     if not is_cterm(t):
         raise ValueError(f"not a bang-free term: {print_term(t)}")
-
-
-# ---------------------------------------------------------------------------
-# Reduction: the engine of `reduction` under the CBN and CBV closures
-
-
-def c_step(tag: str, t: Term, policy="leftmost-outermost") -> Optional[Term]:
-    return reduction.step(t, tag, policy)
-
-
-def c_reducts(tag: str, t: Term) -> list[Term]:
-    return reduction.reducts(t, tag)
-
-
-def c_normalize(tag: str, t: Term, fuel: int = 1000) -> ReduceOutcome:
-    return reduction.normalize(t, tag, fuel)
 
 
 # ---------------------------------------------------------------------------
@@ -198,7 +185,7 @@ def simulate_check(tag: str, t: Term, fuel: int = 50, window: int = 6) -> Simula
     steps = 0
     current = t
     for _ in range(fuel):
-        nxt = c_step(tag, current)
+        nxt = reduction.step(current, tag)
         if nxt is None:
             break
         steps += 1
@@ -264,7 +251,7 @@ def _cbv_witness_context(t: Term, fuel: int) -> Optional[Ctx]:
         for name, w in zip(names, assignment):
             frames += [AppFun(w), AbsBody(name)]
         ctx = Ctx(TESTING, tuple(frames))
-        out = c_normalize(CBV, plug(ctx, t), fuel)
+        out = reduction.normalize(plug(ctx, t), CBV, fuel)
         if out.normalized and is_value(out.term):
             return ctx
     return None
@@ -278,7 +265,7 @@ def c_meaningful(tag: str, t: Term, fuel: int = 300,
     witness testing context is synthesized from the normal form on
     request."""
     require_cterm(t)
-    out = c_normalize(tag, t, fuel)
+    out = reduction.normalize(t, tag, fuel)
     if not out.normalized:
         return MeaningVerdict(UNKNOWN, reason="divergence-suspected: fuel exhausted",
                               normal_form=out.term)
@@ -288,7 +275,7 @@ def c_meaningful(tag: str, t: Term, fuel: int = 300,
         ctx = (_cbn_witness_context(nf) if tag == CBN
                else _cbv_witness_context(nf, fuel * 4))
         if ctx is not None:
-            plugged = c_normalize(tag, plug(ctx, t), fuel * 8)
+            plugged = reduction.normalize(plug(ctx, t), tag, fuel * 8)
             goal_ok = (plugged.normalized
                        and (alpha_eq(plugged.term, I) if tag == CBN
                             else is_value(plugged.term)))

@@ -15,7 +15,7 @@ import os
 import sys
 
 from . import cbnv, measures, reduction, suites, typesys
-from .inhabitation import InhBounds, inhabit, testable
+from .inhabitation import inhabit, testable
 from .meaning import Budgets, meaningful
 from .syntax import (free_vars, parse_term, print_term, term_to_json,
                      ParseError)
@@ -122,29 +122,45 @@ def cmd_check_derivation(ns) -> int:
     return 0 if err is None else 1
 
 
+_JSON_KINDS = {str: "string", dict: "object", list: "array"}
+
+
+def _field(data: dict, key: str, kind: type, default=None):
+    """data[key] (or the default), which must be a JSON value of the kind."""
+    value = data.get(key, default)
+    if not isinstance(value, kind):
+        raise ValueError(f"{key!r} in a derivation node must be a JSON "
+                         f"{_JSON_KINDS[kind]}, got {json.dumps(value)}")
+    return value
+
+
 def _derivation_from_json(data) -> typesys.Derivation:
     if not isinstance(data, dict):
         raise ValueError("a derivation node must be a JSON object")
     missing = [k for k in ("system", "rule", "term", "type") if k not in data]
     if missing:
         raise ValueError(f"derivation node without {', '.join(missing)}")
-    env = typesys.Env(tuple((n, parse_type(s)) for n, s in data.get("env", {}).items()))
-    term = parse_term(data["term"])
+    system, rule = _field(data, "system", str), _field(data, "rule", str)
+    if system not in (typesys.B, typesys.N, typesys.V):
+        raise ValueError(f"unknown system {system!r}: expected B, N or V")
+    bindings = _field(data, "env", dict, {})
+    env = typesys.Env(tuple((n, _multitype(f"env binding {n!r}", _field(bindings, n, str)))
+                            for n in bindings))
+    term = parse_term(_field(data, "term", str))
     binder = data.get("binder")
-    if binder is None and data["rule"] in ("abs", "es"):
+    if binder is None and rule in ("abs", "es"):
         # to_json writes no binder: derivations open each binder with the
         # name _opening takes from the node's own term
         binder = typesys._opening(term)
     return typesys.Derivation(
-        data["system"], data["rule"],
-        typesys.Judgment(env, term, parse_type(data["type"])),
-        tuple(_derivation_from_json(p) for p in data.get("premises", [])),
+        system, rule, typesys.Judgment(env, term, parse_type(_field(data, "type", str))),
+        tuple(_derivation_from_json(p) for p in _field(data, "premises", list, [])),
         binder=binder)
 
 
 def cmd_inhabit(ns) -> int:
     goal = parse_type(ns.type)
-    res = inhabit(ns.system, goal, InhBounds(type_bounds=_bounds(ns)))
+    res = inhabit(ns.system, goal, _bounds(ns))
     data = {"status": res.status, "reason": res.reason}
     if res.witness is not None:
         data["witness"] = print_term(res.witness)
@@ -155,21 +171,25 @@ def cmd_inhabit(ns) -> int:
     return 0
 
 
+def _multitype(what: str, text: str) -> typesys.Multi:
+    m = parse_type(text)
+    if not isinstance(m, typesys.Multi):
+        raise ValueError(f"{what}: a variable's type must be a multitype, like [a]")
+    return m
+
+
 def _binding(pair: str):
     name, colon, ty = pair.partition(":")
     if not (name and colon):
         raise ValueError(f"malformed --env binding {pair!r}: expected name:type, like x:[a]")
-    m = parse_type(ty)
-    if not isinstance(m, typesys.Multi):
-        raise ValueError(f"--env binding {pair!r}: a variable's type must be a multitype, like [a]")
-    return name, m
+    return name, _multitype(f"--env binding {pair!r}", ty)
 
 
 def cmd_testable(ns) -> int:
     goal = parse_type(ns.type)
     bindings = [_binding(pair) for pair in ns.env]
     env = typesys.Env(tuple(bindings))
-    res = testable(ns.system, (env, goal), InhBounds(type_bounds=_bounds(ns)))
+    res = testable(ns.system, (env, goal), _bounds(ns))
     _emit(ns, {"verdict": res.verdict}, res.verdict)
     return 0
 
@@ -231,14 +251,12 @@ def cmd_prop_test(ns) -> int:
     return 0 if rep.failed == 0 else 1
 
 
-def cmd_corpus(ns) -> int:
-    ns2 = ns
-    ns2.suite = "corpus"
-    return cmd_prop_test(ns2)
-
-
 def main(argv=None) -> int:
-    default_seed = int(os.environ.get("BANGLAB_SEED", "1"))
+    try:
+        default_seed = int(os.environ.get("BANGLAB_SEED", "1"))
+    except ValueError:
+        print("error: BANGLAB_SEED must be an integer", file=sys.stderr)
+        return 2
     top = argparse.ArgumentParser(prog="banglab")
     top.add_argument("--json", action="store_true", help="emit JSON")
     top.add_argument("--fuel", type=natural, default=200)
@@ -292,8 +310,8 @@ def main(argv=None) -> int:
     p.add_argument("--seed", type=int, default=default_seed)
     p.add_argument("--count", type=natural, default=200)
     p.add_argument("--size", type=natural, default=8)
-    p = add("corpus", cmd_corpus)
-    p.set_defaults(seed=default_seed, count=1, size=8)
+    p = add("corpus", cmd_prop_test)
+    p.set_defaults(suite="corpus", seed=default_seed, count=1, size=8)
 
     try:
         ns = top.parse_args(argv)

@@ -2,11 +2,14 @@
 
 A type is inhabited when some closed term receives it under the empty
 environment.  The prover runs goal-directed search over normal-form
-witnesses with iterative deepening on witness size.  Definite negative
-answers come only from shape contradictions: a closed normal witness is
-a bang at multitype types and an abstraction at arrow types, so a goal
-demanding both at once (or a bare type variable) is closed off without
-search.  Whatever the bounded search misses stays Unknown.
+witnesses with iterative deepening on witness size, up to
+MAX_WITNESS_SIZE nodes.  The type bounds a caller passes bound only the
+derivation of the witness found; a multitype from an environment or an
+argument is a goal like any other.  Definite negative answers come only
+from shape contradictions: a closed normal witness is a bang at
+multitype types and an abstraction at arrow types, so a goal demanding
+both at once (or a bare type variable) is closed off without search.
+Whatever the bounded search misses stays Unknown.
 
 System differences follow the observable-type analysis: in N a
 multitype is inhabited when one witness inhabits every element; in V
@@ -41,10 +44,7 @@ class InhResult:
         return self.status == INHABITED
 
 
-@dataclass(frozen=True)
-class InhBounds:
-    max_size: int = 7      # witness size cap for iterative deepening
-    type_bounds: Bounds = Bounds()
+MAX_WITNESS_SIZE = 7  # the node cap of the iterative deepening
 
 
 # ---------------------------------------------------------------------------
@@ -188,8 +188,8 @@ def _gen_goal(sys: str, env: Env, goal: Type, size: int, depth: int) -> Iterator
 
 
 @lru_cache(maxsize=None)
-def _search(sys: str, env: Env, goal: Type, max_size: int) -> Optional[Term]:
-    for size in range(1, max_size + 1):
+def _search(sys: str, env: Env, goal: Type) -> Optional[Term]:
+    for size in range(1, MAX_WITNESS_SIZE + 1):
         for t in _gen_goal(sys, env, goal, size, 0):
             return t
     return None
@@ -199,23 +199,23 @@ def _search(sys: str, env: Env, goal: Type, max_size: int) -> Optional[Term]:
 # Public prover
 
 
-def inhabit(sys: str, goal: Type, bounds: InhBounds = InhBounds()) -> InhResult:
+def inhabit(sys: str, goal: Type, bounds: Bounds = Bounds()) -> InhResult:
     """Three-valued bounded inhabitation of a single type."""
     reason = _shape_refutation(sys, goal)
     if reason is not None:
         return InhResult(NOT_INHABITED, reason=reason)
     if sys == N and isinstance(goal, Multi):
-        return _inhabit_n_multi(goal, bounds)
+        return _inhabit_n_multi(goal)
     if sys == V:
-        return _inhabit_v(goal, bounds)
-    w = _search(sys, EMPTY_ENV, goal, bounds.max_size)
+        return _inhabit_v(goal)
+    w = _search(sys, EMPTY_ENV, goal)
     if w is not None:
-        d = find_derivation(sys, w, (EMPTY_ENV, goal), bounds.type_bounds)
+        d = find_derivation(sys, w, (EMPTY_ENV, goal), bounds)
         return InhResult(INHABITED, witness=w, derivation=d)
     return InhResult(UNKNOWN, reason="no witness within search bounds")
 
 
-def _inhabit_n_multi(goal: Multi, bounds: InhBounds) -> InhResult:
+def _inhabit_n_multi(goal: Multi) -> InhResult:
     """N-multitypes need one witness typed at every element."""
     if not goal.elems:
         return InhResult(INHABITED, witness=I)
@@ -227,14 +227,14 @@ def _inhabit_n_multi(goal: Multi, bounds: InhBounds) -> InhResult:
             return InhResult(NOT_INHABITED,
                              reason="closed N-typings conclude with arrows, not multitypes")
     first, *rest = goal.elems
-    for size in range(1, bounds.max_size + 1):
+    for size in range(1, MAX_WITNESS_SIZE + 1):
         for w in _gen_goal(N, EMPTY_ENV, first, size, 0):
             if all(_accepts(N, w, EMPTY_ENV, e) for e in rest):
                 return InhResult(INHABITED, witness=w)
     return InhResult(UNKNOWN, reason="no shared witness within search bounds")
 
 
-def _inhabit_v(goal: Type, bounds: InhBounds) -> InhResult:
+def _inhabit_v(goal: Type) -> InhResult:
     assert isinstance(goal, Multi)
     if not goal.elems:
         return InhResult(INHABITED, witness=I)
@@ -244,7 +244,7 @@ def _inhabit_v(goal: Type, bounds: InhBounds) -> InhResult:
     first = goal.elems[0]
     name = "w0"
     env0 = Env(((name, first.dom),)) if first.dom.elems else EMPTY_ENV
-    for size in range(1, bounds.max_size + 1):
+    for size in range(1, MAX_WITNESS_SIZE + 1):
         for body in _gen_goal(V, env0, first.cod, size, 1):
             w = lam(name, body)
             if all(_accepts(V, w, EMPTY_ENV, Multi((a,))) for a in goal.elems):
@@ -252,16 +252,9 @@ def _inhabit_v(goal: Type, bounds: InhBounds) -> InhResult:
     return InhResult(UNKNOWN, reason="no witness within search bounds")
 
 
-def inhabit_multitype(sys: str, m: Multi, bounds: InhBounds = InhBounds()) -> InhResult:
-    """Inhabitation of a multitype as it occurs in environments and args."""
-    if sys == N:
-        return _inhabit_n_multi(m, bounds)
-    return inhabit(sys, m, bounds)
-
-
-def inhabit_env(sys: str, env: Env, bounds: InhBounds = InhBounds()) -> dict[str, InhResult]:
+def inhabit_env(sys: str, env: Env, bounds: Bounds = Bounds()) -> dict[str, InhResult]:
     """Per-variable results; the empty environment is vacuously inhabited."""
-    return {name: inhabit_multitype(sys, m, bounds) for name, m in env.items}
+    return {name: inhabit(sys, m, bounds) for name, m in env.items}
 
 
 # ---------------------------------------------------------------------------
@@ -281,14 +274,14 @@ class Testability:
         return tuple(r.witness for _, r in self.args_results)
 
 
-def testable(sys: str, typing: tuple[Env, Type], bounds: InhBounds = InhBounds()
+def testable(sys: str, typing: tuple[Env, Type], bounds: Bounds = Bounds()
              ) -> Testability:
     """A typing is testable when its environment image and the argument
     multitypes of its type are all inhabited; witnesses are retained for
     testing-context construction."""
     env, ty = typing
-    env_results = tuple((n, inhabit_multitype(sys, m, bounds)) for n, m in env.items)
-    args_results = tuple((m, inhabit_multitype(sys, m, bounds)) for m in args(sys, ty))
+    env_results = tuple((n, inhabit(sys, m, bounds)) for n, m in env.items)
+    args_results = tuple((m, inhabit(sys, m, bounds)) for m in args(sys, ty))
     statuses = [r.status for _, r in env_results] + [r.status for _, r in args_results]
     if any(s == NOT_INHABITED for s in statuses):
         return Testability(NO, env_results, args_results)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
 from . import reduction
-from .inhabitation import InhBounds, Testability, testable
+from .inhabitation import Testability, testable
 from .reduction import normalize
 from .syntax import (Abs, App, AppFun, AbsBody, Bang, Ctx, TESTING, Term,
                      Var, free_vars, fresh_name, open_var, parse_term, plug,
@@ -32,11 +32,13 @@ from .typesys import (Arrow, B, Bounds, Derivation, Env, Judgment, Type,
 MEANINGFUL, MEANINGLESS, UNKNOWN = "meaningful", "meaningless", "unknown"
 
 
+MAX_TYPINGS = 2000  # distinct typings of a normal form that meaningful tries
+
+
 @dataclass(frozen=True)
 class Budgets:
     fuel: int = 200
     type_bounds: Bounds = Bounds()
-    max_typings: int = 2000
 
 
 @dataclass(frozen=True)
@@ -164,9 +166,9 @@ def meaningful(t: Term, budgets: Budgets = Budgets()) -> MeaningVerdict:
             continue
         seen.add(pair)
         count += 1
-        if count > budgets.max_typings:
+        if count > MAX_TYPINGS:
             break
-        ta = testable(B, d.conclusion.typing, InhBounds(type_bounds=budgets.type_bounds))
+        ta = testable(B, d.conclusion.typing, budgets.type_bounds)
         if ta.verdict != "yes":
             continue
         ctx = build_testing_context(d.conclusion.typing, ta)
@@ -193,7 +195,7 @@ class NodeReport:
 
 
 def check_testable_everywhere(d: Derivation,
-                              bounds: InhBounds = InhBounds()) -> tuple[bool, list[NodeReport]]:
+                              bounds: Bounds = Bounds()) -> tuple[bool, list[NodeReport]]:
     """Whether every judgment in the derivation has a testable typing.
 
     Testability propagates from the conclusion upward, so a derivation

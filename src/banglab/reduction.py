@@ -12,8 +12,8 @@ bang; full reduction has no restriction.  The call-by-name and
 call-by-value calculi of `cbnv` run on the same engine under the CBN and
 CBV closures, with their own substitution rules.
 
-Leftmost-outermost reduction (`normalize`, the default policy of `step`,
-and `classify`'s test for a redex) is one preorder walk on a zipper
+Leftmost-outermost reduction (`normalize`, `step` and `classify`'s test
+for a redex) is one preorder walk on a zipper
 (Huet, "The Zipper", JFP 1997): a stack of (parent, child index) frames
 from the root down to the focus.  After a contraction the walk re-checks
 a single ancestor and then resumes at the contracted position instead of
@@ -237,16 +237,12 @@ def _walk(t: Term, closure: str, fuel: int,
         hit = rules(focus)
 
 
-def step(t: Term, closure: str = SURFACE, policy="leftmost-outermost") -> Optional[Term]:
-    """One reduction step; None iff t is normal for the closure.
-
-    policy is "leftmost-outermost" or an integer index into redexes(t).
-    """
-    if policy == "leftmost-outermost":
-        path, _, hit, _ = _walk(t, closure, 0)
-        return None if hit is None else zip_up(path, hit[1])
-    rs = redexes(t, closure)
-    return apply_redex(t, rs[policy]) if rs else None
+def step(t: Term, closure: str = SURFACE) -> Optional[Term]:
+    """One leftmost-outermost reduction step; None iff t is normal for the
+    closure.  To contract another redex, pick it from redexes(t, closure)
+    and pass it to apply_redex."""
+    path, _, hit, _ = _walk(t, closure, 0)
+    return None if hit is None else zip_up(path, hit[1])
 
 
 @dataclass(frozen=True)

@@ -386,8 +386,8 @@ def suite_corpus(cfg: SuiteConfig) -> Report:
     c0 = parse_term("(\\x.y x x) ((\\z.z) (\\z.z))")
     c1 = parse_term("y ((\\z.z) (\\z.z)) ((\\z.z) (\\z.z))")
     c2 = parse_term("y (\\z.z) (\\z.z)")
-    expect("cbn-run", cbnv.c_normalize(cbnv.CBN, c0, 10).term == c1)
-    expect("cbv-run", cbnv.c_normalize(cbnv.CBV, c0, 10).term == c2)
+    expect("cbn-run", reduction.normalize(c0, cbnv.CBN, 10).term == c1)
+    expect("cbv-run", reduction.normalize(c0, cbnv.CBV, 10).term == c2)
     expect("cbn-embed", cbnv.embed(cbnv.CBN, c0)
            == parse_term("(\\x. y !x !x) !((\\z.z) !(\\z.z))"))
     expect("cbv-embed", cbnv.embed(cbnv.CBV, c0)

@@ -35,6 +35,9 @@ class Term:
 
     __slots__ = ()
 
+    def __str__(self) -> str:
+        return print_term(self)
+
 
 @dataclass(frozen=True, slots=True)
 class Var(Term):
@@ -42,18 +45,12 @@ class Var(Term):
 
     name: str
 
-    def __str__(self) -> str:
-        return print_term(self)
-
 
 @dataclass(frozen=True, slots=True)
 class Idx(Term):
     """Bound variable as a de Bruijn index (internal representation)."""
 
     k: int
-
-    def __str__(self) -> str:
-        return print_term(self)
 
 
 @dataclass(frozen=True, slots=True)
@@ -63,17 +60,11 @@ class Abs(Term):
     hint: str = field(compare=False)
     body: Term
 
-    def __str__(self) -> str:
-        return print_term(self)
-
 
 @dataclass(frozen=True, slots=True)
 class App(Term):
     fun: Term
     arg: Term
-
-    def __str__(self) -> str:
-        return print_term(self)
 
 
 @dataclass(frozen=True, slots=True)
@@ -87,24 +78,15 @@ class Sub(Term):
     body: Term
     arg: Term
 
-    def __str__(self) -> str:
-        return print_term(self)
-
 
 @dataclass(frozen=True, slots=True)
 class Bang(Term):
     inner: Term
 
-    def __str__(self) -> str:
-        return print_term(self)
-
 
 @dataclass(frozen=True, slots=True)
 class Der(Term):
     inner: Term
-
-    def __str__(self) -> str:
-        return print_term(self)
 
 
 # ---------------------------------------------------------------------------

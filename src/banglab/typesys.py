@@ -32,12 +32,13 @@ consumers: `_pairs`, the memoised, deduplicated typing tables behind
 derivation stream behind `meaningful` and the CLI; and
 `find_derivation`, which rebuilds one derivation top-down from the
 `_pairs` tables, taking at each node the first rule instance that
-concludes the wanted typing.  A rule that forms a multitype (the B bang,
-the V abstraction, a bang demanded at a multitype) yields its empty
-family before it reads a premise, and a subterm's items are indexed by
-type on the first query only, so the lazy stream reads a premise only
-when a non-empty multitype asks for it: `|- !t : []` comes at once,
-whatever t is.  `_pairs` also builds the grid tables, the source of
+concludes the wanted typing.  `_rules` takes no goal: all three read
+the same instances in the same order.  A rule that forms a multitype
+(the B bang, the V abstraction, a bang demanded at a multitype) yields
+its empty family before it reads a premise, and a subterm's items are
+indexed by type on the first query only, so the lazy stream reads a
+premise only when a non-empty multitype asks for it: `|- !t : []` comes
+at once, whatever t is.  `_pairs` also builds the grid tables, the source of
 `grid_typing_set` and so of the transport and transfer checks: the same
 tables, less the typings that bind a free name past the grid (see
 `_pruned`), dropped as each table is built.
@@ -499,6 +500,8 @@ def _fresh_opening(d: Derivation, path: str) -> str:
 def _check(d: Derivation, path: str):
     c = d.conclusion
     sys, rule = d.system, d.rule
+    if sys not in (B, N, V):
+        _fail(path, f"unknown system {sys!r}")
     for i, p in enumerate(d.premises):
         if p.system != sys:
             _fail(f"{path}.{i}", "premise belongs to a different system")
@@ -849,27 +852,24 @@ def _opening(t: Term) -> str:
     return f"%{max(ks, default=-1) + 1}"
 
 
-def _rules(sys: str, t: Term, bounds: Bounds, items, at,
-           want: Optional[Type] = None) -> Iterator[tuple[Env, Type, str, tuple, Optional[str]]]:
+def _rules(sys: str, t: Term, bounds: Bounds, items, at
+           ) -> Iterator[tuple[Env, Type, str, tuple, Optional[str]]]:
     """Every last-rule instance (env, type, rule, premises, binder) of
-    system `sys` typing t within the bounds; an abs/es t opens its binder
-    with _opening(t).
+    system `sys` typing t within the bounds, in one fixed order; an abs/es
+    t opens its binder with _opening(t).
 
     An item is any sequence whose first two entries are an env and a
     type; premises are items of the immediate subterms.  `items(u)` gives
     the items of a subterm u, and `at(u)`, for a demand-driven u, a
-    function from a type to the items typing u exactly at it.  Given
-    `want`, premises that cannot lead to an instance of that type are
-    skipped before any env is summed; the other instances keep their
-    order, and the caller still compares each one with `want`.
+    function from a type to the items typing u exactly at it.  The
+    instances are produced lazily, so a consumer that looks for one
+    conclusion (`_first_derivation`) stops at the first that matches.
     """
     card = bounds.card
-    elems = want.elems if isinstance(want, Multi) else ()  # for multitype-forming rules
     match t:
         case Var(x):
             for env, ty in _var_axioms(sys, x, bounds):
-                if want is None or ty == want:
-                    yield env, ty, "var", (), None
+                yield env, ty, "var", (), None
         case Idx():
             raise ValueError("enumeration requires a locally closed subject")
         case Abs(_, body):
@@ -880,15 +880,13 @@ def _rules(sys: str, t: Term, bounds: Bounds, items, at,
                 # card bound applies to the residual environments only.
                 arrows = ((it, Arrow(it[0].get(name), it[1])) for it in sub)
                 folded = ((it[0].without(name), a, it) for it, a in arrows
-                          if (want is None or a in elems) and a._depth <= bounds.depth)
+                          if a._depth <= bounds.depth)
                 for fam in _grouped_multisets(folded, card):
                     yield (env_sum([f[0] for f in fam]), Multi(tuple(f[1] for f in fam)),
                            "abs", tuple(f[2] for f in fam), name)
             else:
                 for it in sub:
-                    a = Arrow(it[0].get(name), it[1])
-                    if want is None or a == want:
-                        yield it[0].without(name), a, "abs", (it,), name
+                    yield it[0].without(name), Arrow(it[0].get(name), it[1]), "abs", (it,), name
         case App(fun, arg):
             arg_at = _arg_premises(sys, arg, bounds, items, at)
             for f in items(fun):
@@ -898,7 +896,7 @@ def _rules(sys: str, t: Term, bounds: Bounds, items, at,
                             and isinstance(fty.elems[0], Arrow)):
                         continue
                     fty = fty.elems[0]
-                if not isinstance(fty, Arrow) or (want is not None and fty.cod != want):
+                if not isinstance(fty, Arrow):
                     continue
                 for aenv, fam in arg_at(fty.dom):
                     env = env_sum([f[0], aenv], card)
@@ -908,8 +906,6 @@ def _rules(sys: str, t: Term, bounds: Bounds, items, at,
             name = _opening(t)
             arg_at = _arg_premises(sys, arg, bounds, items, at)
             for b in items(open_var(body, name)):
-                if want is not None and b[1] != want:
-                    continue
                 rest = b[0].without(name)
                 for aenv, fam in arg_at(b[0].get(name)):
                     env = env_sum([rest, aenv], card)
@@ -917,8 +913,7 @@ def _rules(sys: str, t: Term, bounds: Bounds, items, at,
                         yield env, b[1], "es", (b, *fam), name
         case Bang(inner):
             if sys == B:
-                sub = (it for it in items(inner)
-                       if (want is None or it[1] in elems) and it[1]._depth < bounds.depth)
+                sub = (it for it in items(inner) if it[1]._depth < bounds.depth)
                 for fam in _grouped_multisets(sub, card):
                     yield (env_sum([it[0] for it in fam]), Multi(tuple(it[1] for it in fam)),
                            "bang", fam, None)
@@ -926,8 +921,7 @@ def _rules(sys: str, t: Term, bounds: Bounds, items, at,
             if sys == B:
                 for it in items(inner):
                     ty = it[1]
-                    if (isinstance(ty, Multi) and len(ty) == 1
-                            and (want is None or ty.elems[0] == want)):
+                    if isinstance(ty, Multi) and len(ty) == 1:
                         yield it[0], ty.elems[0], "der", (it,), None
         case _:
             raise TypeError(t)
@@ -1142,7 +1136,7 @@ def _first_derivation(sys: str, item: tuple, bounds: Bounds) -> Derivation:
         inner = _lookup(sys, u.inner, items, at) if sys == B else None
         instances = _rules_at(sys, u, ty, bounds, inner)
     else:
-        instances = _rules(sys, u, bounds, items, at, ty)
+        instances = _rules(sys, u, bounds, items, at)
     for r_env, r_ty, rule, premises, binder in instances:
         if r_env == env and r_ty == ty:
             return Derivation(sys, rule, Judgment(env, u, ty),

@@ -6,12 +6,11 @@ import hypothesis.strategies as st
 import pytest
 
 from banglab import reduction
-from banglab.cbnv import (CBN, CBV, c_meaningful, c_normalize, c_reducts,
-                          c_step, embed, embed_ctx, in_image, is_cterm,
-                          require_cterm, simulate_check, transfer_check,
-                          unembed)
+from banglab.cbnv import (CBN, CBV, c_meaningful, embed, embed_ctx, in_image,
+                          is_cterm, require_cterm, simulate_check,
+                          transfer_check, unembed)
 from banglab.meaning import Budgets, genericity_check, meaningful
-from banglab.reduction import Rule, restricted_step
+from banglab.reduction import Rule, normalize, restricted_step, step
 from banglab.syntax import (FULL, Abs, AbsBody, App, AppArg, AppFun, Ctx,
                             SubArg, SubBody, Var, alpha_eq, close_var,
                             enum_terms, gen_term, parse_context, parse_term,
@@ -32,36 +31,36 @@ def test_cterm_fragment():
 
 
 def test_example_reductions():
-    out = c_normalize(CBN, T0, 10)
+    out = normalize(T0, CBN, 10)
     assert out.term == T1 and out.steps == 2
-    out = c_normalize(CBV, T0, 10)
+    out = normalize(T0, CBV, 10)
     assert out.term == T2 and out.steps == 4
 
 
 def test_values_are_normal():
-    assert c_step(CBN, p("\\x.x x")) is None
-    assert c_step(CBV, p("\\x.x x")) is None
-    assert c_step(CBN, Var("x")) is None
+    assert step(p("\\x.x x"), CBN) is None
+    assert step(p("\\x.x x"), CBV) is None
+    assert step(Var("x"), CBN) is None
 
 
 def test_surface_context_differences():
     t = App(Var("x"), OMEGA_C)
     # CBN never evaluates arguments; CBV does
-    assert c_step(CBN, t) is None
-    assert c_normalize(CBV, t, 50).status == "fuel-exhausted"
+    assert step(t, CBN) is None
+    assert normalize(t, CBV, 50).status == "fuel-exhausted"
     # CBN reduces under lambda; CBV does not
     u = Abs("x", App(p("\\y.y"), Var("z")))
-    assert c_step(CBN, u) is not None
-    assert c_step(CBV, u) is None
+    assert step(u, CBN) is not None
+    assert step(u, CBV) is None
 
 
 def test_cbv_substitution_needs_value():
     t = p("x[x<-y z]")
-    assert c_step(CBV, t) is None  # argument is not (a closure stack over) a value
-    assert c_step(CBN, t) == p("y z")
+    assert step(t, CBV) is None  # argument is not (a closure stack over) a value
+    assert step(t, CBN) == p("y z")
     # value under a closure stack fires at a distance
     t2 = p("x[x<-(\\w.w)[u<-y z]]")
-    assert c_step(CBV, t2) == p("(\\w.w)[u<-y z]")
+    assert step(t2, CBV) == p("(\\w.w)[u<-y z]")
 
 
 def test_example_embeddings():
@@ -97,7 +96,7 @@ def test_simulation_with_administrative_step():
 def test_embeddings_preserve_normal_forms():
     for t in enum_terms(5, ("x", "y"), bang_free=True):
         for tag in (CBN, CBV):
-            if c_step(tag, t) is None:
+            if step(t, tag) is None:
                 img = embed(tag, t)
                 assert not reduction.redexes(img, reduction.SURFACE), \
                     f"{tag}: {print_term(t)} -> {print_term(img)}"
@@ -173,7 +172,7 @@ def test_cbn_witness_reaches_identity():
         t = p(s)
         v = c_meaningful(CBN, t, want_witness=True)
         assert v.meaningful and v.evidence is not None, s
-        out = c_normalize(CBN, plug(v.evidence.context, t), 400)
+        out = normalize(plug(v.evidence.context, t), CBN, 400)
         assert out.normalized and alpha_eq(out.term, p("\\z.z")), s
 
 
@@ -184,7 +183,7 @@ def test_cbv_witness_reaches_value():
         t = p(s)
         v = c_meaningful(CBV, t, want_witness=True)
         assert v.meaningful and v.evidence is not None, s
-        out = c_normalize(CBV, plug(v.evidence.context, t), 400)
+        out = normalize(plug(v.evidence.context, t), CBV, 400)
         assert out.normalized and is_value(out.term), s
 
 

@@ -206,13 +206,22 @@ def test_check_derivation_reads_printed_derivations(capsys, tmp_path):
 
 
 def test_check_derivation_bad_input(capsys, tmp_path):
-    missing = tmp_path / "missing.json"
-    incomplete = tmp_path / "incomplete.json"
-    incomplete.write_text(json.dumps({"system": "B", "term": "x", "type": "[a]"}))
-    for path, says in ((missing, "No such file"), (incomplete, "rule")):
-        code, _, err = run(capsys, "check-derivation", str(path))
-        assert code == 2 and err.startswith("error:") and err.count("\n") == 1
-        assert says in err
+    node = {"system": "B", "rule": "var", "env": {"x": "[a]"}, "term": "x", "type": "a"}
+    (tmp_path / "node.json").write_text(json.dumps(node))
+    assert run(capsys, "check-derivation", str(tmp_path / "node.json"))[:2] == (0, "ok\n")
+    bad = [({"system": "B", "term": "x", "type": "[a]"}, "rule"),
+           # each a malformed field of the valid node above
+           (node | {"env": []}, "'env'"), (node | {"env": {"x": 5}}, "'x'"),
+           (node | {"env": {"x": "a"}}, "multitype"), (node | {"term": 5}, "'term'"),
+           (node | {"premises": 5}, "'premises'"), (node | {"system": "Q"}, "system 'Q'")]
+    cases = [(tmp_path / "missing.json", "No such file")]
+    for i, (data, says) in enumerate(bad):
+        cases.append((tmp_path / f"bad{i}.json", says))
+        cases[-1][0].write_text(json.dumps(data))
+    for path, says in cases:
+        code, out, err = run(capsys, "check-derivation", str(path))
+        assert code == 2 and out == "" and err.startswith("error:") and err.count("\n") == 1
+        assert says in err, err
 
 
 def test_testable_malformed_env(capsys):
@@ -261,6 +270,12 @@ def test_seed_env_var(capsys, monkeypatch):
     code, out, _ = run(capsys, "--json", "prop-test", "--suite", "measure",
                        "--count", "10")
     assert json.loads(out)["config"]["seed"] == 99
+
+
+def test_seed_env_var_must_be_an_integer(capsys, monkeypatch):
+    monkeypatch.setenv("BANGLAB_SEED", "abc")
+    code, out, err = run(capsys, "parse", "x")
+    assert code == 2 and out == "" and err == "error: BANGLAB_SEED must be an integer\n"
 
 
 def test_corpus_suite(capsys):

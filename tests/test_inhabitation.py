@@ -1,11 +1,15 @@
+import hashlib
+import itertools
+import json
+
 import pytest
 
-from banglab.inhabitation import (InhBounds, InhResult, inhabit, inhabit_env,
-                                  inhabit_multitype)
+from banglab.inhabitation import inhabit, inhabit_env
 from banglab.inhabitation import testable as is_testable
-from banglab.syntax import Bang, alpha_eq, parse_term
-from banglab.typesys import (Arrow, B, EMPTY_ENV, EMPTY_MULTI, Env, Multi, N,
-                             TVar, V, check_derivation, multi, typing_pairs)
+from banglab.syntax import Bang, alpha_eq, parse_term, print_term
+from banglab.typesys import (Arrow, B, Bounds, EMPTY_ENV, EMPTY_MULTI, Env,
+                             Multi, N, TVar, V, check_derivation, multi,
+                             print_type, type_universe, typing_pairs)
 
 p = parse_term
 a, b = TVar("a"), TVar("b")
@@ -49,29 +53,16 @@ def test_witnesses_recheck_closed():
             assert (EMPTY_ENV, g) in typing_pairs(B, r.witness)
 
 
-def test_monotone_in_bounds():
-    small = InhBounds(max_size=3)
-    big = InhBounds(max_size=8)
-    goals = [EMPTY_MULTI, Arrow(multi(a), multi(a)), multi(a),
-             multi(Arrow(multi(a), b), multi(a))]
-    for g in goals:
-        rs, rb = inhabit(B, g, small), inhabit(B, g, big)
-        if rs.inhabited:
-            assert rb.inhabited
-        if rs.status == "not-inhabited":
-            assert rb.status == "not-inhabited"
-
-
 def test_n_multitype_shared_witness():
     # identity types ask one witness for every element
     arr = Arrow(multi(a), a)
     r = inhabit(N, Arrow(multi(arr), arr))
     assert r.inhabited and alpha_eq(r.witness, p("\\z.z"))
-    r = inhabit_multitype(N, multi(arr))
+    r = inhabit(N, multi(arr))
     assert r.inhabited
-    assert inhabit_multitype(N, EMPTY_MULTI).inhabited
-    assert inhabit_multitype(N, multi(a)).status == "not-inhabited"
-    assert inhabit_multitype(N, multi(multi(a))).status == "not-inhabited"
+    assert inhabit(N, EMPTY_MULTI).inhabited
+    assert inhabit(N, multi(a)).status == "not-inhabited"
+    assert inhabit(N, multi(multi(a))).status == "not-inhabited"
 
 
 def test_v_inhabitation():
@@ -98,3 +89,25 @@ def test_testable_examples():
                     ).verdict == "no"
     ok = is_testable(B, (EMPTY_ENV, Arrow(multi(EMPTY_MULTI), EMPTY_MULTI)))
     assert ok.verdict == "yes" and ok.args_witnesses[0] is not None
+
+
+# sha256 of (system, goal, status, reason, witness, derivation) over the
+# goals below, in B, N and V
+INHABIT_DIGEST = "5ec6224c318a565208844df6317be7ea1470aff42a95d62bd4fadd9d00cc00d5"
+
+
+def test_inhabit_is_pinned():
+    # the 288 universe types, and the multitypes of one or two of the
+    # first 64 of them: 2,432 goals per system
+    uni = type_universe(Bounds())
+    goals = list(uni) + [Multi(c) for k in (1, 2)
+                         for c in itertools.combinations_with_replacement(uni[:64], k)]
+    h = hashlib.sha256()
+    for sys in (B, N, V):
+        for g in goals:
+            r = inhabit(sys, g)
+            row = [sys, print_type(g), r.status, r.reason,
+                   print_term(r.witness) if r.witness is not None else None,
+                   r.derivation.to_json() if r.derivation is not None else None]
+            h.update(json.dumps(row).encode() + b"\n")
+    assert h.hexdigest() == INHABIT_DIGEST

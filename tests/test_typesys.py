@@ -253,6 +253,11 @@ def test_corrupted_der_arity_rejected():
     assert report is not None and "singleton" in report
 
 
+def test_unknown_system_rejected():
+    d = Derivation("Q", "var", Judgment(Env.of({"x": multi(a)}), Var("x"), a))
+    assert check_derivation(d) == "root: unknown system 'Q'"
+
+
 def test_wrong_env_sum_rejected():
     d = self_application_derivation()
     bad = Derivation(B, "app", Judgment(Env.of({"x": multi(Arrow(multi(a), b))}),
