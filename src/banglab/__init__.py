@@ -6,7 +6,7 @@ meaningfulness checking, and the call-by-name/call-by-value fragments
 with their embeddings.
 """
 
-from .syntax import (Abs, App, Bang, Ctx, Der, Idx, Sub, Term, Var, alpha_eq,
+from .syntax import (Abs, App, Bang, Ctx, Der, Idx, Sub, Term, Var,
                      enum_terms, free_vars, gen_term, lam, esub, match_list_bang,
                      msubst, parse_context, parse_term, plug, print_term)
 from .reduction import (NfClass, Redex, ReduceOutcome, Rule, classify,

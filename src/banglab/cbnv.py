@@ -26,7 +26,7 @@ from . import meaning, reduction
 from .meaning import Budgets, MeaningVerdict, MEANINGFUL, UNKNOWN
 from .reduction import CBN, CBV, is_value
 from .syntax import (Abs, App, AppFun, AbsBody, Bang, Ctx, Der, FULL, HOLE, I,
-                     Idx, Sub, Term, TESTING, Var, alpha_eq, context_of,
+                     Idx, Sub, Term, TESTING, Var, context_of,
                      fresh_name, free_vars, lam, open_var, peel_subs, plug,
                      print_term, rebuild_subs)
 # Not called here; bench/instrument.py wraps these two names in this module.
@@ -277,7 +277,7 @@ def c_meaningful(tag: str, t: Term, fuel: int = 300,
         if ctx is not None:
             plugged = reduction.normalize(plug(ctx, t), tag, fuel * 8)
             goal_ok = (plugged.normalized
-                       and (alpha_eq(plugged.term, I) if tag == CBN
+                       and (plugged.term == I if tag == CBN
                             else is_value(plugged.term)))
             if goal_ok:
                 evidence = meaning.Evidence(ctx, (None, None), None,

@@ -96,11 +96,12 @@ def cmd_measure(ns) -> int:
 def cmd_typings(ns) -> int:
     t = parse_term(ns.term)
     shown = 0
-    for d in itertools.islice(typesys.typings_enumerate(ns.system, t, _bounds(ns)), ns.limit):
+    for (env, ty), derivation in itertools.islice(
+            typesys.typings_enumerate(ns.system, t, _bounds(ns)), ns.limit):
         if ns.json:
-            print(json.dumps(d.to_json()))
+            print(json.dumps(derivation().to_json()))
         else:
-            print(str(d.conclusion))
+            print(typesys.Judgment(env, t, ty))
         shown += 1
     if not shown and ns.limit:
         print("no typings within bounds", file=sys.stderr)
@@ -147,8 +148,10 @@ def _derivation_from_json(data) -> typesys.Derivation:
     env = typesys.Env(tuple((n, _multitype(f"env binding {n!r}", _field(bindings, n, str)))
                             for n in bindings))
     term = parse_term(_field(data, "term", str))
-    binder = data.get("binder")
-    if binder is None and rule in ("abs", "es"):
+    binder = None
+    if data.get("binder") is not None:
+        binder = _field(data, "binder", str)
+    elif rule in ("abs", "es"):
         # to_json writes no binder: derivations open each binder with the
         # name _opening takes from the node's own term
         binder = typesys._opening(term)

@@ -187,20 +187,15 @@ def _gen_goal(sys: str, env: Env, goal: Type, size: int, depth: int) -> Iterator
                 yield App(fun, I)
 
 
-@lru_cache(maxsize=None)
-def _search(sys: str, env: Env, goal: Type) -> Optional[Term]:
-    for size in range(1, MAX_WITNESS_SIZE + 1):
-        for t in _gen_goal(sys, env, goal, size, 0):
-            return t
-    return None
-
-
 # ---------------------------------------------------------------------------
 # Public prover
 
 
+@lru_cache(maxsize=None)
 def inhabit(sys: str, goal: Type, bounds: Bounds = Bounds()) -> InhResult:
-    """Three-valued bounded inhabitation of a single type."""
+    """Three-valued bounded inhabitation of a single type.  Memoised: the
+    answer, its witness and the witness's derivation are built once per
+    goal."""
     reason = _shape_refutation(sys, goal)
     if reason is not None:
         return InhResult(NOT_INHABITED, reason=reason)
@@ -208,10 +203,10 @@ def inhabit(sys: str, goal: Type, bounds: Bounds = Bounds()) -> InhResult:
         return _inhabit_n_multi(goal)
     if sys == V:
         return _inhabit_v(goal)
-    w = _search(sys, EMPTY_ENV, goal)
-    if w is not None:
-        d = find_derivation(sys, w, (EMPTY_ENV, goal), bounds)
-        return InhResult(INHABITED, witness=w, derivation=d)
+    for size in range(1, MAX_WITNESS_SIZE + 1):
+        for w in _gen_goal(sys, EMPTY_ENV, goal, size, 0):
+            d = find_derivation(sys, w, (EMPTY_ENV, goal), bounds)
+            return InhResult(INHABITED, witness=w, derivation=d)
     return InhResult(UNKNOWN, reason="no witness within search bounds")
 
 

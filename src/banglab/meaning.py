@@ -159,26 +159,24 @@ def meaningful(t: Term, budgets: Budgets = Budgets()) -> MeaningVerdict:
         return MeaningVerdict(MEANINGLESS, reason=cert, normal_form=nf)
 
     seen = set()
-    count = 0
-    for d in typings_enumerate(B, nf, budgets.type_bounds):
-        pair = canon_typing(d.conclusion.typing)
+    for typing, derivation in typings_enumerate(B, nf, budgets.type_bounds):
+        pair = canon_typing(typing)
         if pair in seen:
             continue
         seen.add(pair)
-        count += 1
-        if count > MAX_TYPINGS:
+        if len(seen) > MAX_TYPINGS:
             break
-        ta = testable(B, d.conclusion.typing, budgets.type_bounds)
+        ta = testable(B, typing, budgets.type_bounds)
         if ta.verdict != "yes":
             continue
-        ctx = build_testing_context(d.conclusion.typing, ta)
+        ctx = build_testing_context(typing, ta)
         hit = replay(ctx, t, budgets.fuel * 4 + 400)
         if hit is None:
             raise RuntimeError(
                 f"testable typing failed to replay: {print_term(t)} in {ctx}")
         return MeaningVerdict(
             MEANINGFUL, reason="testable typing of the normal form",
-            evidence=Evidence(ctx, d.conclusion.typing, d, hit[0], hit[1]),
+            evidence=Evidence(ctx, typing, derivation(), hit[0], hit[1]),
             normal_form=nf)
     return MeaningVerdict(UNKNOWN, reason="no testable typing within bounds",
                           normal_form=nf)
@@ -278,8 +276,8 @@ def genericity_check(F: Ctx, t_meaningless: Term, samples: Sequence[Term],
 
 def _admits_typing(nf: Term, canon_target, budgets: Budgets) -> bool:
     """Whether the normal form nf has a typing equal to canon_target."""
-    return any(canon_typing(d.conclusion.typing) == canon_target
-               for d in typings_enumerate(B, nf, budgets.type_bounds))
+    return any(canon_typing(typing) == canon_target
+               for typing, _ in typings_enumerate(B, nf, budgets.type_bounds))
 
 
 # ---------------------------------------------------------------------------

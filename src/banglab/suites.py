@@ -19,7 +19,7 @@ from . import cbnv, measures, reduction, typesys
 from .inhabitation import inhabit
 from .meaning import Budgets, discriminate, genericity_check, meaningful
 from .reduction import DB_DBANG, SBANG_ONLY, meet_within, restricted_step
-from .syntax import (Abs, App, Bang, Ctx, OMEGA, Term, Var, alpha_eq,
+from .syntax import (Abs, App, Bang, Ctx, OMEGA, Term, Var,
                      enum_terms, free_vars, gen_term, parse_context,
                      parse_term, print_term)
 from .typesys import (B, Bounds, N, V, grid_typing_set,
@@ -354,16 +354,16 @@ def suite_corpus(cfg: SuiteConfig) -> Report:
            and reduction.step(s2, reduction.FULL) == parse_term("!y"))
 
     # self-application derivations have the two-resource environment shape
-    ds = list(typesys.typings_enumerate(B, parse_term("x x"), cfg.bounds))
-    expect("xx-derivations", bool(ds) and all(
-        check_derivation(d) is None
-        and d.conclusion.env.domain() == ("x",)
-        and len(d.conclusion.env.get("x")) == 2 for d in ds))
+    xx = typesys.typings_enumerate(B, parse_term("x x"), cfg.bounds)
+    shaped = [check_derivation(derivation()) is None
+              and env.domain() == ("x",) and len(env.get("x")) == 2
+              for (env, _), derivation in xx]
+    expect("xx-derivations", bool(shaped) and all(shaped))
 
     # identity-like inhabitation
     a = typesys.TVar("a")
     res = inhabit(B, typesys.Arrow(typesys.multi(a), typesys.multi(a)))
-    expect("inhabit-arrow", res.inhabited and alpha_eq(res.witness, parse_term("\\x.!x")))
+    expect("inhabit-arrow", res.inhabited and res.witness == parse_term("\\x.!x"))
     expect("inhabit-empty", inhabit(B, typesys.EMPTY_MULTI).witness
            == Bang(parse_term("\\z.z")))
 

@@ -204,11 +204,6 @@ def esub(name: str, body: Term, arg: Term) -> Term:
     return Sub(name, close_var(body, name), arg)
 
 
-def alpha_eq(t: Term, u: Term) -> bool:
-    """Alpha equivalence; structural on the internal representation."""
-    return t == u
-
-
 def msubst(t: Term, x: str, u: Term) -> Term:
     """Capture-avoiding meta-level substitution t{x:=u}.
 

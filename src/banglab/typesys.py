@@ -26,22 +26,28 @@ every formed multiset at `card` elements; everything else is determined
 by the subject term, so the enumerated set is finite and complete
 relative to those choices.  The rules of B, N and V are written once,
 in the generator `_rules`, which yields every last-rule instance for a
-term from the items (env and type first) of its subterms.  It has three
-consumers: `_pairs`, the memoised, deduplicated typing tables behind
-`typing_pairs` and inhabitation; `typings_enumerate`, the lazy
-derivation stream behind `meaningful` and the CLI; and
-`find_derivation`, which rebuilds one derivation top-down from the
-`_pairs` tables, taking at each node the first rule instance that
-concludes the wanted typing.  `_rules` takes no goal: all three read
-the same instances in the same order.  A rule that forms a multitype
-(the B bang, the V abstraction, a bang demanded at a multitype) yields
-its empty family before it reads a premise, and a subterm's items are
-indexed by type on the first query only, so the lazy stream reads a
-premise only when a non-empty multitype asks for it: `|- !t : []` comes
-at once, whatever t is.  `_pairs` also builds the grid tables, the source of
-`grid_typing_set` and so of the transport and transfer checks: the same
-tables, less the typings that bind a free name past the grid (see
-`_pruned`), dropped as each table is built.
+term from the items (env and type first) of its subterms.  They feed
+one table structure, `_table`: a term's distinct typings (env, type),
+drawn lazily over its subterms' tables and memoised in a dict, in one of
+two scopes.  The process-wide `_TABLES` holds the tables `_pairs` reads
+to their end, behind `typing_pairs`, inhabitation, `find_derivation` and
+the grid tables; each `typings_enumerate` call, the stream behind
+`meaningful` and the CLI, owns tables drawn only as far as its reader
+goes.  No row carries a derivation, since carrying one in every row of
+the per-call tables doubled a round of the meaning benchmark (1.26 s
+against 0.62 s on a 2-core VM): `_first_derivation` builds one for the
+typings a caller asks for, top-down over the tables, taking at each
+node the first rule instance that concludes the wanted typing.  `_rules`
+takes no goal, so both read the same instances in the same order.
+
+A rule that forms a multitype (the B bang, the V abstraction, a bang
+demanded at a multitype) yields its empty family before it reads a
+premise, and a subterm's items are indexed by type on the first query
+only, so a lazily drawn table reads a premise only when a non-empty
+multitype asks for it: `|- !t : []` comes at once, whatever t is.  The
+grid tables, the source of `grid_typing_set` and so of the transport
+and transfer checks, are the same tables less the typings that bind a
+free name past the grid (see `_pruned`), dropped as each table is built.
 
 A binder is opened with the `%k` name `_opening` takes from its own
 term, not from where the term occurs, so the tables are keyed by system,
@@ -54,7 +60,7 @@ import itertools
 import math
 import weakref
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from operator import attrgetter, itemgetter
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
@@ -954,40 +960,72 @@ def _rules_at(sys: str, t: Term, want: Type, bounds: Bounds, inner
             yield env, want, "bang", fam, None
 
 
-@lru_cache(maxsize=None)
-def _pairs(sys: str, t: Term, bounds: Bounds, grid: bool = False) -> tuple[Pair, ...]:
-    """All (env, type) typings of t within the bounds (deduplicated).
+_TABLES: dict = {}  # the process-wide memo of _table and _envs_at
+
+
+def _table(memo: dict, sys: str, t: Term, bounds: Bounds, grid: bool = False
+           ) -> Iterator[Pair]:
+    """A reader over the distinct (env, type) typings of t within the
+    bounds, drawn lazily and memoised in `memo`: it keeps one tee iterator
+    over t's producer that never advances and hands each reader a copy,
+    so every row is produced once, and kept for all readers.  A producer
+    reads only the tables of strict subterms, so none re-enters itself,
+    and the completion step of general tabled resolution (Tamaki and
+    Sato, "OLD Resolution with Tabulation", ICLP 1986) is not needed.
 
     With `grid`, the table grid_typing_set reads: only the typings whose
     env binds no name outside _is_opened at a multitype deeper than
     `bounds.depth - 1` (see _pruned).  Its subterms' tables are pruned
     too, so what is dropped never reaches a rule instance above it."""
-    if sys == B and untypable_certificate(t):
-        return ()
-    grid_args = (True,) if grid else ()  # the full tables keep the callers' cache keys
+    key = (sys, t, bounds, grid)
+    start = memo.get(key)
+    if start is None:
+        start = memo[key] = itertools.tee(_produce(memo, sys, t, bounds, grid), 1)[0]
+    return start.__copy__()
 
-    def items(u: Term) -> tuple[Pair, ...]:
-        return _pairs(sys, u, bounds, *grid_args)
+
+def _produce(memo: dict, sys: str, t: Term, bounds: Bounds, grid: bool) -> Iterator[Pair]:
+    if sys == B and untypable_certificate(t):
+        return
+
+    def items(u: Term) -> Iterator[Pair]:
+        return _table(memo, sys, u, bounds, grid)
 
     def at(u: Term):
-        return lambda want: _envs_at(sys, u, want, bounds, *grid_args)
+        return lambda want: _envs_at(memo, sys, u, want, bounds, grid)
 
     rows = ((r[0], r[1]) for r in _rules(sys, t, bounds, items, at))
-    return tuple(dict.fromkeys(_pruned(rows, bounds) if grid else rows))
+    seen = set()
+    for row in _pruned(rows, bounds) if grid else rows:
+        if row not in seen:
+            seen.add(row)
+            yield row
 
 
-@lru_cache(maxsize=None)
-def _envs_at(sys: str, t: Term, want: Type, bounds: Bounds, grid: bool = False
+def _envs_at(memo: dict, sys: str, t: Term, want: Type, bounds: Bounds, grid: bool
              ) -> tuple[Pair, ...]:
-    """The (env, want) typings of t, deduplicated: from _rules_at for a
-    demand-driven t, else filtered from its table; with `grid`, from the
-    pruned tables, and pruned as they are."""
-    grid_args = (True,) if grid else ()
-    if not _demand_driven(sys, t):
-        return tuple(p for p in _pairs(sys, t, bounds, *grid_args) if p[1] == want)
-    inner = (lambda ty: _envs_at(sys, t.inner, ty, bounds, *grid_args)) if sys == B else None
-    rows = ((r[0], r[1]) for r in _rules_at(sys, t, want, bounds, inner))
-    return tuple(dict.fromkeys(_pruned(rows, bounds) if grid else rows))
+    """The (env, want) typings of t, deduplicated and memoised in `memo`
+    whole, as each reader reads them: from _rules_at for a demand-driven
+    t, else filtered from its table; with `grid`, from the pruned tables,
+    and pruned as they are."""
+    key = (sys, t, want, bounds, grid)
+    rows = memo.get(key)
+    if rows is None:
+        if _demand_driven(sys, t):
+            inner = ((lambda ty: _envs_at(memo, sys, t.inner, ty, bounds, grid))
+                     if sys == B else None)
+            found = ((r[0], r[1]) for r in _rules_at(sys, t, want, bounds, inner))
+            rows = tuple(dict.fromkeys(_pruned(found, bounds) if grid else found))
+        else:
+            rows = tuple(p for p in _table(memo, sys, t, bounds, grid) if p[1] == want)
+        memo[key] = rows
+    return rows
+
+
+def _pairs(sys: str, t: Term, bounds: Bounds, grid: bool = False) -> tuple[Pair, ...]:
+    """All (env, type) typings of t within the bounds (deduplicated): its
+    process-wide table (see _table), read to its end."""
+    return tuple(_table(_TABLES, sys, t, bounds, grid))
 
 
 def _pruned(rows: Iterator[Pair], bounds: Bounds) -> Iterator[Pair]:
@@ -1068,69 +1106,57 @@ def canon_typing(pair: Pair) -> Pair:
 
 
 # ---------------------------------------------------------------------------
-# Derivations: the lazy consumer of _rules, and the top-down rebuild from _pairs
+# Derivations: the first rule instance concluding a typing, over the tables
 
 
-def typings_enumerate(sys: str, t: Term, bounds: Bounds = Bounds()) -> Iterator[Derivation]:
-    """Every bounded derivation for t, lazily.
-
-    Sound (each result passes check_derivation) and complete relative to
-    the bounds: axiom types come from the bounded universe and each
-    formed multiset has at most `card` elements.
-    """
-    def derived(u: Term, instances) -> Iterator[tuple[Env, Type, Derivation]]:
-        for env, ty, rule, premises, binder in instances:
-            yield env, ty, Derivation(sys, rule, Judgment(env, u, ty),
-                                      tuple([p[2] for p in premises]), binder)
-
-    def items(u: Term) -> Iterator[tuple[Env, Type, Derivation]]:
-        return derived(u, _rules(sys, u, bounds, items, at))
-
-    def at(u: Term):
-        inner = _lookup(sys, u.inner, items, at) if sys == B else None
-        found: dict[Type, list] = {}
-
-        def get(want: Type) -> list:
-            hit = found.get(want)
-            if hit is None:
-                hit = found[want] = list(derived(u, _rules_at(sys, u, want, bounds, inner)))
-            return hit
-        return get
-
-    for it in items(t):
-        yield it[2]
+def typings_enumerate(sys: str, t: Term, bounds: Bounds = Bounds()
+                      ) -> Iterator[tuple[Pair, Callable[[], Derivation]]]:
+    """Every distinct bounded typing of t, lazily, in table order, each
+    paired with a zero-argument function that builds its derivation (see
+    _first_derivation).  The call owns its tables (see _table), drawn as
+    far as its reader goes, and clears them when the stream ends or is
+    closed, since their producers refer back to them: call a derivation
+    function while the stream is open.  Sound (each derivation passes
+    check_derivation) and complete relative to the bounds: axiom types
+    come from the bounded universe and each formed multiset has at most
+    `card` elements."""
+    memo: dict = {}
+    try:
+        for env, ty in _table(memo, sys, t, bounds):
+            yield (env, ty), partial(_first_derivation, memo, sys, (env, ty, t, False), bounds)
+    finally:
+        memo.clear()
 
 
 def find_derivation(sys: str, t: Term, typing: Pair, bounds: Bounds = Bounds()
                     ) -> Optional[Derivation]:
     """A derivation with the given conclusion typing, if one exists in
-    bounds (compared up to canonical type-variable renaming).
-
-    It is the first such derivation typings_enumerate would yield, but
-    rebuilt top-down from the memoised tables: the first pair of
-    _pairs(t) with the wanted typing, then at each node the first rule
-    instance concluding the wanted pair.  A typing outside the table
-    returns None without enumerating anything."""
+    bounds (compared up to canonical type-variable renaming): the
+    derivation typings_enumerate pairs with the first typing of t's table
+    that matches, built over the process-wide tables.  A typing outside
+    the table returns None without building anything."""
     target = canon_typing(typing)
     for env, ty in _pairs(sys, t, bounds):
         if canon_typing((env, ty)) == target:
-            return _first_derivation(sys, (env, ty, t, False), bounds)
+            return _first_derivation(_TABLES, sys, (env, ty, t, False), bounds)
     return None
 
 
-def _first_derivation(sys: str, item: tuple, bounds: Bounds) -> Derivation:
-    """The first derivation of an item (env, type, term, demanded) in
-    typings_enumerate order.  Its premises are items of the _pairs and
-    _envs_at tables, tagged with their subterm; `demanded` marks an item
-    reached through `at`, whose instances come from _rules_at instead of
-    _rules."""
+def _first_derivation(memo: dict, sys: str, item: tuple, bounds: Bounds) -> Derivation:
+    """The first derivation of an item (env, type, term, demanded): the
+    first rule instance concluding its typing, then at each premise the
+    same, over the tables in `memo`.  Its premises are items of the
+    _table and _envs_at tables, tagged with their subterm; `demanded`
+    marks an item reached through `at`, whose instances come from
+    _rules_at instead of _rules."""
     env, ty, u, demanded = item
 
     def items(v: Term) -> Iterator[tuple]:
-        return ((e, vt, v, False) for e, vt in _pairs(sys, v, bounds))
+        return ((e, vt, v, False) for e, vt in _table(memo, sys, v, bounds))
 
     def at(v: Term):
-        return lambda want: [(e, want, v, True) for e, _ in _envs_at(sys, v, want, bounds)]
+        return lambda want: [(e, want, v, True)
+                             for e, _ in _envs_at(memo, sys, v, want, bounds, False)]
 
     if demanded:
         inner = _lookup(sys, u.inner, items, at) if sys == B else None
@@ -1140,7 +1166,7 @@ def _first_derivation(sys: str, item: tuple, bounds: Bounds) -> Derivation:
     for r_env, r_ty, rule, premises, binder in instances:
         if r_env == env and r_ty == ty:
             return Derivation(sys, rule, Judgment(env, u, ty),
-                              tuple(_first_derivation(sys, p, bounds) for p in premises),
+                              tuple(_first_derivation(memo, sys, p, bounds) for p in premises),
                               binder)
     raise AssertionError(f"no {sys} rule instance concludes a tabled typing of {u!r}")
 

@@ -12,7 +12,7 @@ from banglab.cbnv import (CBN, CBV, c_meaningful, embed, embed_ctx, in_image,
 from banglab.meaning import Budgets, genericity_check, meaningful
 from banglab.reduction import Rule, normalize, restricted_step, step
 from banglab.syntax import (FULL, Abs, AbsBody, App, AppArg, AppFun, Ctx,
-                            SubArg, SubBody, Var, alpha_eq, close_var,
+                            SubArg, SubBody, Var, close_var,
                             enum_terms, gen_term, parse_context, parse_term,
                             plug, print_term)
 from banglab.typesys import B, Bounds, N, V, _pairs, grid_typing_set
@@ -173,7 +173,7 @@ def test_cbn_witness_reaches_identity():
         v = c_meaningful(CBN, t, want_witness=True)
         assert v.meaningful and v.evidence is not None, s
         out = normalize(plug(v.evidence.context, t), CBN, 400)
-        assert out.normalized and alpha_eq(out.term, p("\\z.z")), s
+        assert out.normalized and out.term == p("\\z.z"), s
 
 
 def test_cbv_witness_reaches_value():

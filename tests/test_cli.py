@@ -181,9 +181,10 @@ def test_check_derivation_roundtrip(capsys, tmp_path, monkeypatch):
     from banglab.typesys import B, typings_enumerate
     from banglab.syntax import parse_term
 
-    d = next(iter(typings_enumerate(B, parse_term("x x"))))
+    stream = typings_enumerate(B, parse_term("x x"))
+    _, derivation = next(stream)
     path = tmp_path / "d.json"
-    path.write_text(json.dumps(d.to_json() | {"binder": None}))
+    path.write_text(json.dumps(derivation().to_json() | {"binder": None}))
     code, out, _ = run(capsys, "check-derivation", str(path))
     assert code == 0 and out.strip() == "ok"
 
@@ -213,7 +214,8 @@ def test_check_derivation_bad_input(capsys, tmp_path):
            # each a malformed field of the valid node above
            (node | {"env": []}, "'env'"), (node | {"env": {"x": 5}}, "'x'"),
            (node | {"env": {"x": "a"}}, "multitype"), (node | {"term": 5}, "'term'"),
-           (node | {"premises": 5}, "'premises'"), (node | {"system": "Q"}, "system 'Q'")]
+           (node | {"premises": 5}, "'premises'"), (node | {"system": "Q"}, "system 'Q'"),
+           (node | {"binder": 5}, "'binder'")]
     cases = [(tmp_path / "missing.json", "No such file")]
     for i, (data, says) in enumerate(bad):
         cases.append((tmp_path / f"bad{i}.json", says))

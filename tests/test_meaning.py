@@ -1,8 +1,10 @@
+import gc
 import hashlib
+import types
 
 import pytest
 
-from banglab import reduction
+from banglab import reduction, typesys
 from banglab.inhabitation import testable as is_testable
 from banglab.meaning import (Budgets, build_testing_context,
                              check_testable_everywhere, discriminate,
@@ -112,14 +114,37 @@ def test_env_wrapping_captures():
 
 
 def test_check_testable_everywhere():
-    ds = [d for d in typings_enumerate(B, p("!(\\z.z)"))
-          if d.conclusion.typing == (EMPTY_ENV, EMPTY_MULTI)]
-    ok, reports = check_testable_everywhere(ds[0])
+    d = next(derivation() for typing, derivation in typings_enumerate(B, p("!(\\z.z)"))
+             if typing == (EMPTY_ENV, EMPTY_MULTI))
+    ok, reports = check_testable_everywhere(d)
     assert ok and all(r.verdict == "yes" for r in reports)
     # the self-application derivation has an untestable root
-    d = next(iter(typings_enumerate(B, p("x x"))))
-    ok, reports = check_testable_everywhere(d)
+    stream = typings_enumerate(B, p("x x"))
+    _, derivation = next(stream)
+    ok, reports = check_testable_everywhere(derivation())
     assert not ok and reports[0].verdict == "no"
+
+
+def _suspended_rule_streams() -> int:
+    return sum(1 for o in gc.get_objects()
+               if isinstance(o, types.GeneratorType)
+               and o.gi_code is typesys._rules.__code__ and o.gi_frame is not None)
+
+
+def test_a_closed_stream_frees_its_tables():
+    # the tables of one typings_enumerate call refer back to each other, so
+    # they must be freed when the stream ends, not by the cycle collector
+    meaningful(p("\\x. x !x"), BUD)
+    gc.disable()
+    try:
+        before = _suspended_rule_streams()
+        stream = typings_enumerate(B, p("\\x. x (x !y)"))
+        next(stream)
+        stream.close()
+        assert meaningful(p("y !(\\z. z !z) !y"), BUD).meaningful
+        assert _suspended_rule_streams() <= before
+    finally:
+        gc.enable()
 
 
 def test_testability_propagates_from_root():

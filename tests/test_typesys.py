@@ -266,50 +266,54 @@ def test_wrong_env_sum_rejected():
 
 
 def test_enumeration_sound_and_two_resource_shaped():
-    ds = list(typings_enumerate(B, p("x x")))
-    assert ds
-    for d in ds:
-        assert check_derivation(d) is None
-        env = d.conclusion.env
+    n = 0
+    for (env, _), derivation in typings_enumerate(B, p("x x")):
+        n += 1
+        assert check_derivation(derivation()) is None
         assert env.domain() == ("x",)
         mt = env.get("x")
         assert len(mt) == 2
         arrows = [e for e in mt.elems if isinstance(e, Arrow)]
         assert any(e.dom == other for e in arrows for other in mt.elems
                    if other != e or mt.elems.count(e) > 1)
+    assert n
 
 
 def test_enumeration_relevance():
     # no weakening anywhere: each node's env is the rule-computed sum
     for s in ["x x", "\\x.!x", "der !x", "(\\x.x) !y", "x[x<-!y]"]:
-        for d in typings_enumerate(B, p(s)):
-            assert check_derivation(d) is None
+        for _, derivation in typings_enumerate(B, p(s)):
+            assert check_derivation(derivation()) is None
 
 
 def test_derivations_conclude_exactly_the_typing_pairs():
-    # the lazy derivations and the memoised tables run the same rules, and
-    # find_derivation rebuilds the first enumerated derivation of a typing:
-    # checked for every typing of the 502 tables with at most 50 typings
-    # (2,024 calls; all 98,648 typings would take minutes)
+    # the stream yields the typings of the table in its order, and for
+    # every typing of the 502 tables with at most 50 typings (2,024 calls;
+    # all 98,648 typings would take minutes) a derivation of it, the one
+    # find_derivation builds for the first typing of its canonical class
     for sys in (B, N, V):
         for t in enum_terms(4):
-            ds = list(typings_enumerate(sys, t))
-            assert {d.conclusion.typing for d in ds} == typing_pairs(sys, t), (sys, t)
-            assert all(check_derivation(d) is None for d in ds), (sys, t)
-            if len(ds) > 50:
+            pairs = _pairs(sys, t, Bounds())
+            stream = typings_enumerate(sys, t)
+            if len(pairs) > 50:
+                assert [typing for typing, _ in stream] == list(pairs), (sys, t)
                 continue
-            first = {}
-            for d in ds:
-                first.setdefault(canon_typing(d.conclusion.typing), d)
-            for d in ds:
-                pair = d.conclusion.typing
-                assert find_derivation(sys, t, pair) == first[canon_typing(pair)], (sys, t)
+            first, typings = {}, []
+            for typing, derivation in stream:
+                d = derivation()
+                assert d.conclusion.typing == typing and check_derivation(d) is None, (sys, t)
+                first.setdefault(canon_typing(typing), d)
+                typings.append(typing)
+            assert typings == list(pairs), (sys, t)
+            for typing in typings:
+                assert find_derivation(sys, t, typing) == first[canon_typing(typing)], (sys, t)
     # the bang is typed on demand at [[a] -> a], a level deeper than its own table
     arr = Arrow(multi(a), a)
     deep = (Env.of({"y": multi(arr)}), arr)
     t = p("x[x<-!y]")
     assert find_derivation(B, t, deep) == next(
-        d for d in typings_enumerate(B, t) if canon_typing(d.conclusion.typing) == deep)
+        derivation() for typing, derivation in typings_enumerate(B, t)
+        if canon_typing(typing) == deep)
     assert find_derivation(B, p("\\x.x"), (EMPTY_ENV, a)) is None
 
 
@@ -342,14 +346,14 @@ def test_opening_is_fresh_for_free_percent_names():
 
     for sys in (B, N, V):
         assert typing_pairs(sys, t) == {renamed(q) for q in typing_pairs(sys, p("\\x. x y"))}, sys
-        ds = list(typings_enumerate(sys, t))
-        assert ds and all(check_derivation(d) is None for d in ds), sys
+        checked = [check_derivation(derivation()) is None
+                   for _, derivation in typings_enumerate(sys, t)]
+        assert checked and all(checked), sys
     assert _opening(App(Var("%0"), Var("%2"))) == "%3"
 
 
 def test_bang_always_empty_typable():
-    ds = list(typings_enumerate(B, p("!u")))
-    assert any(d.conclusion.typing == (EMPTY_ENV, EMPTY_MULTI) for d in ds)
+    assert any(typing == (EMPTY_ENV, EMPTY_MULTI) for typing, _ in typings_enumerate(B, p("!u")))
     # the banged subterm may itself be untypable
     assert (EMPTY_ENV, EMPTY_MULTI) in typing_pairs(B, Bang(p("!s u")))
 
@@ -362,21 +366,21 @@ def test_omega_has_no_typings():
 
 def test_boxed_identity_arrow_typing_found():
     target = (EMPTY_ENV, Arrow(multi(a), multi(a)))
-    assert any(d.conclusion.typing == target for d in typings_enumerate(B, p("\\x.!x")))
+    assert any(typing == target for typing, _ in typings_enumerate(B, p("\\x.!x")))
 
 
 def test_n_system_identity():
     # the identity receives [[a] -> a] -> [a] -> a in the CBN system
     arr = Arrow(multi(a), a)
     target = canon_typing((EMPTY_ENV, Arrow(multi(arr), arr)))
-    assert any(canon_typing(d.conclusion.typing) == target
-               for d in typings_enumerate(N, p("\\x.x")))
+    assert any(canon_typing(typing) == target
+               for typing, _ in typings_enumerate(N, p("\\x.x")))
 
 
 def test_v_system_abs_empty_family():
     # any abstraction types with the empty multitype, body untyped
-    ds = list(typings_enumerate(V, p("\\x.x x")))
-    assert any(d.conclusion.typing == (EMPTY_ENV, EMPTY_MULTI) for d in ds)
+    assert any(typing == (EMPTY_ENV, EMPTY_MULTI)
+               for typing, _ in typings_enumerate(V, p("\\x.x x")))
 
 
 def _record_draws(monkeypatch) -> list:
@@ -404,7 +408,7 @@ def _record_draws(monkeypatch) -> list:
 def test_the_empty_family_reads_no_premise(monkeypatch, sys, src, typing, premise):
     drawn = _record_draws(monkeypatch)
     ds = typings_enumerate(sys, p(src))
-    assert next(ds).conclusion.typing == typing
+    assert next(ds)[0] == typing
     assert p(premise) not in drawn
     for _ in ds:
         pass
@@ -473,8 +477,8 @@ def test_transport_sampled(seed):
 
 def test_nf_shape():
     assert nf_shape(EMPTY_MULTI, p("!u")) == "must-bang"
-    d = next(d for d in typings_enumerate(B, p("\\x.!x"))
-             if d.conclusion.typing == (EMPTY_ENV, Arrow(multi(a), multi(a))))
+    d = next(derivation() for typing, derivation in typings_enumerate(B, p("\\x.!x"))
+             if typing == (EMPTY_ENV, Arrow(multi(a), multi(a))))
     assert nf_shape(Arrow(multi(a), multi(a)), p("\\x.!x"), d) == "must-abs"
 
 
