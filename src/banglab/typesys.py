@@ -30,15 +30,19 @@ term from the items (env and type first) of its subterms.  They feed
 one table structure, `_table`: a term's distinct typings (env, type),
 drawn lazily over its subterms' tables and memoised in a dict, in one of
 two scopes.  The process-wide `_TABLES` holds the tables `_pairs` reads
-to their end, behind `typing_pairs`, inhabitation, `find_derivation` and
-the grid tables; each `typings_enumerate` call, the stream behind
-`meaningful` and the CLI, owns tables drawn only as far as its reader
-goes.  No row carries a derivation, since carrying one in every row of
-the per-call tables doubled a round of the meaning benchmark (1.26 s
-against 0.62 s on a 2-core VM): `_first_derivation` builds one for the
-typings a caller asks for, top-down over the tables, taking at each
-node the first rule instance that concludes the wanted typing.  `_rules`
-takes no goal, so both read the same instances in the same order.
+to their end, behind `typing_pairs`, inhabitation and the grid tables;
+each `typings_enumerate` call, the stream behind `meaningful`,
+`find_derivation` and the CLI, owns tables drawn only as far as its
+reader goes, and frees them when it ends.  No row carries a derivation,
+since carrying one in every row of the per-call tables doubled a round
+of the meaning benchmark (1.26 s against 0.62 s on a 2-core VM), and
+the first rule instance of each row would keep a premise tuple per row
+alive in the process-wide tables (87,547 rows after a transfer round):
+`_first_derivation` builds one for the typings a caller asks for,
+top-down over the call's tables, taking at each node the first rule
+instance that concludes the wanted typing, from one resumable scan of
+the node's rule instances per call.  `_rules` takes no goal, so tables
+and scans read the same instances in the same order.
 
 A rule that forms a multitype (the B bang, the V abstraction, a bang
 demanded at a multitype) yields its empty family before it reads a
@@ -980,11 +984,12 @@ def _table(memo: dict, sys: str, t: Term, bounds: Bounds, grid: bool = False
     key = (sys, t, bounds, grid)
     start = memo.get(key)
     if start is None:
-        start = memo[key] = itertools.tee(_produce(memo, sys, t, bounds, grid), 1)[0]
+        start = memo[key] = itertools.tee(_produce(memo, key), 1)[0]
     return start.__copy__()
 
 
-def _produce(memo: dict, sys: str, t: Term, bounds: Bounds, grid: bool) -> Iterator[Pair]:
+def _produce(memo: dict, key: tuple) -> Iterator[Pair]:
+    sys, t, bounds, grid = key
     if sys == B and untypable_certificate(t):
         return
 
@@ -996,10 +1001,19 @@ def _produce(memo: dict, sys: str, t: Term, bounds: Bounds, grid: bool) -> Itera
 
     rows = ((r[0], r[1]) for r in _rules(sys, t, bounds, items, at))
     seen = set()
-    for row in _pruned(rows, bounds) if grid else rows:
-        if row not in seen:
-            seen.add(row)
-            yield row
+    try:
+        for row in _pruned(rows, bounds) if grid else rows:
+            if row not in seen:
+                seen.add(row)
+                yield row
+    except GeneratorExit:
+        raise
+    except BaseException:
+        # a producer that raised is finished, and its tee would end the
+        # table there for every later reader: drop it (and, as the
+        # exception passes up, the tables reading it), to be drawn again
+        memo.pop(key, None)
+        raise
 
 
 def _envs_at(memo: dict, sys: str, t: Term, want: Type, bounds: Bounds, grid: bool
@@ -1132,14 +1146,11 @@ def find_derivation(sys: str, t: Term, typing: Pair, bounds: Bounds = Bounds()
                     ) -> Optional[Derivation]:
     """A derivation with the given conclusion typing, if one exists in
     bounds (compared up to canonical type-variable renaming): the
-    derivation typings_enumerate pairs with the first typing of t's table
-    that matches, built over the process-wide tables.  A typing outside
-    the table returns None without building anything."""
+    derivation typings_enumerate pairs with the first typing of t that
+    matches."""
     target = canon_typing(typing)
-    for env, ty in _pairs(sys, t, bounds):
-        if canon_typing((env, ty)) == target:
-            return _first_derivation(_TABLES, sys, (env, ty, t, False), bounds)
-    return None
+    return next((derivation() for pair, derivation in typings_enumerate(sys, t, bounds)
+                 if canon_typing(pair) == target), None)
 
 
 def _first_derivation(memo: dict, sys: str, item: tuple, bounds: Bounds) -> Derivation:
@@ -1148,27 +1159,46 @@ def _first_derivation(memo: dict, sys: str, item: tuple, bounds: Bounds) -> Deri
     same, over the tables in `memo`.  Its premises are items of the
     _table and _envs_at tables, tagged with their subterm; `demanded`
     marks an item reached through `at`, whose instances come from
-    _rules_at instead of _rules."""
+    _rules_at instead of _rules.
+
+    `memo` also keeps, per term (and wanted type, if demanded), one scan
+    of its rule instances, resumed where the last search stopped, and the
+    first instance of each conclusion passed so far, made a derivation
+    once, when asked for: deriving every typing of a table reads each
+    rule instance once."""
     env, ty, u, demanded = item
+    key = (u, ty) if demanded else u  # no table key is a term or a pair
+    scan = memo.get(key)
+    if scan is None:
+        def items(v: Term) -> Iterator[tuple]:
+            return ((e, vt, v, False) for e, vt in _table(memo, sys, v, bounds))
 
-    def items(v: Term) -> Iterator[tuple]:
-        return ((e, vt, v, False) for e, vt in _table(memo, sys, v, bounds))
+        def at(v: Term):
+            return lambda want: [(e, want, v, True)
+                                 for e, _ in _envs_at(memo, sys, v, want, bounds, False)]
 
-    def at(v: Term):
-        return lambda want: [(e, want, v, True)
-                             for e, _ in _envs_at(memo, sys, v, want, bounds, False)]
-
-    if demanded:
-        inner = _lookup(sys, u.inner, items, at) if sys == B else None
-        instances = _rules_at(sys, u, ty, bounds, inner)
-    else:
-        instances = _rules(sys, u, bounds, items, at)
-    for r_env, r_ty, rule, premises, binder in instances:
-        if r_env == env and r_ty == ty:
-            return Derivation(sys, rule, Judgment(env, u, ty),
-                              tuple(_first_derivation(memo, sys, p, bounds) for p in premises),
-                              binder)
-    raise AssertionError(f"no {sys} rule instance concludes a tabled typing of {u!r}")
+        if demanded:
+            inner = _lookup(sys, u.inner, items, at) if sys == B else None
+            instances = _rules_at(sys, u, ty, bounds, inner)
+        else:
+            instances = _rules(sys, u, bounds, items, at)
+        scan = memo[key] = (instances, {})
+    instances, first = scan
+    try:
+        while (env, ty) not in first:
+            r = next(instances, None)
+            if r is None:
+                raise AssertionError(f"no {sys} rule instance concludes a tabled typing of {u!r}")
+            first.setdefault((r[0], r[1]), r)
+    except BaseException:
+        del memo[key]  # a scan that raised is finished
+        raise
+    d = first[env, ty]
+    if not isinstance(d, Derivation):
+        d = first[env, ty] = Derivation(
+            sys, d[2], Judgment(env, u, ty),
+            tuple([_first_derivation(memo, sys, p, bounds) for p in d[3]]), d[4])
+    return d
 
 
 # ---------------------------------------------------------------------------
