@@ -160,13 +160,11 @@ def _unembed_cbv(t: Term) -> Optional[Term]:
     return None
 
 
-def in_image(tag: str, t: Term) -> bool:
-    src = unembed(tag, t)
-    return src is not None and embed(tag, src) == t
-
-
 # ---------------------------------------------------------------------------
 # Simulation checking
+
+
+SIMULATION_WINDOW = 6  # surface steps an embedded source step may take
 
 
 @dataclass(frozen=True)
@@ -176,7 +174,7 @@ class SimulationReport:
     failures: tuple[tuple[Term, Term], ...] = ()
 
 
-def simulate_check(tag: str, t: Term, fuel: int = 50, window: int = 6) -> SimulationReport:
+def simulate_check(tag: str, t: Term, fuel: int) -> SimulationReport:
     """Each source step t -> u must project to a bounded surface chain
     embed(t) ->* embed(u), possibly padded by administrative steps."""
     require_cterm(t)
@@ -190,7 +188,7 @@ def simulate_check(tag: str, t: Term, fuel: int = 50, window: int = 6) -> Simula
             break
         steps += 1
         if not reduction.meet_within(embed(tag, current), embed(tag, nxt), surface,
-                                     window, fixed_target=True):
+                                     SIMULATION_WINDOW, fixed_target=True):
             failures.append((current, nxt))
         current = nxt
     return SimulationReport(steps, not failures, tuple(failures))
@@ -257,13 +255,13 @@ def _cbv_witness_context(t: Term, fuel: int) -> Optional[Ctx]:
     return None
 
 
-def c_meaningful(tag: str, t: Term, fuel: int = 300,
-                 want_witness: bool = False) -> MeaningVerdict:
+def c_meaningful(tag: str, t: Term, fuel: int = 300) -> MeaningVerdict:
     """Meaningfulness decided operationally: surface normalization.
 
     CBN observables are the identity, CBV observables are values; a
-    witness testing context is synthesized from the normal form on
-    request."""
+    witness testing context is synthesized from the normal form and
+    replayed, and it becomes the evidence when it reaches the
+    observable."""
     require_cterm(t)
     out = reduction.normalize(t, tag, fuel)
     if not out.normalized:
@@ -271,17 +269,16 @@ def c_meaningful(tag: str, t: Term, fuel: int = 300,
                               normal_form=out.term)
     nf = out.term
     evidence = None
-    if want_witness:
-        ctx = (_cbn_witness_context(nf) if tag == CBN
-               else _cbv_witness_context(nf, fuel * 4))
-        if ctx is not None:
-            plugged = reduction.normalize(plug(ctx, t), tag, fuel * 8)
-            goal_ok = (plugged.normalized
-                       and (plugged.term == I if tag == CBN
-                            else is_value(plugged.term)))
-            if goal_ok:
-                evidence = meaning.Evidence(ctx, (None, None), None,
-                                            plugged.term, plugged.steps)
+    ctx = (_cbn_witness_context(nf) if tag == CBN
+           else _cbv_witness_context(nf, fuel * 4))
+    if ctx is not None:
+        plugged = reduction.normalize(plug(ctx, t), tag, fuel * 8)
+        goal_ok = (plugged.normalized
+                   and (plugged.term == I if tag == CBN
+                        else is_value(plugged.term)))
+        if goal_ok:
+            evidence = meaning.Evidence(ctx, (None, None), None,
+                                        plugged.term, plugged.steps)
     return MeaningVerdict(MEANINGFUL,
                           reason="surface normalizing (operational characterization)",
                           evidence=evidence, normal_form=nf)

@@ -247,11 +247,6 @@ def _inhabit_v(goal: Type) -> InhResult:
     return InhResult(UNKNOWN, reason="no witness within search bounds")
 
 
-def inhabit_env(sys: str, env: Env, bounds: Bounds = Bounds()) -> dict[str, InhResult]:
-    """Per-variable results; the empty environment is vacuously inhabited."""
-    return {name: inhabit(sys, m, bounds) for name, m in env.items}
-
-
 # ---------------------------------------------------------------------------
 # Testability
 
@@ -263,10 +258,6 @@ class Testability:
     verdict: str  # yes | no | unknown
     env_results: tuple[tuple[str, InhResult], ...] = ()
     args_results: tuple[tuple[Multi, InhResult], ...] = ()
-
-    @property
-    def args_witnesses(self) -> tuple[Optional[Term], ...]:
-        return tuple(r.witness for _, r in self.args_results)
 
 
 def testable(sys: str, typing: tuple[Env, Type], bounds: Bounds = Bounds()

@@ -26,7 +26,7 @@ from .reduction import normalize
 from .syntax import (Abs, App, AppFun, AbsBody, Bang, Ctx, TESTING, Term,
                      Var, free_vars, fresh_name, open_var, parse_term, plug,
                      print_term)
-from .typesys import (Arrow, B, Bounds, Derivation, Env, Judgment, Type,
+from .typesys import (Arrow, B, Bounds, Derivation, Env, Type,
                       canon_typing, observable, typings_enumerate)
 
 MEANINGFUL, MEANINGLESS, UNKNOWN = "meaningful", "meaningless", "unknown"
@@ -183,28 +183,6 @@ def meaningful(t: Term, budgets: Budgets = Budgets()) -> MeaningVerdict:
 
 
 # ---------------------------------------------------------------------------
-# Per-node testability (derivations supporting meaningful verdicts)
-
-
-@dataclass(frozen=True)
-class NodeReport:
-    judgment: Judgment
-    verdict: str
-
-
-def check_testable_everywhere(d: Derivation,
-                              bounds: Bounds = Bounds()) -> tuple[bool, list[NodeReport]]:
-    """Whether every judgment in the derivation has a testable typing.
-
-    Testability propagates from the conclusion upward, so a derivation
-    with a testable conclusion should report no definite 'no' node;
-    Unknown nodes are listed for inspection."""
-    reports = [NodeReport(j, testable(d.system, j.typing, bounds).verdict)
-               for j in d.all_judgments()]
-    return all(r.verdict == "yes" for r in reports), reports
-
-
-# ---------------------------------------------------------------------------
 # Operational cross-check: bounded testing-context search
 
 _POOL = (parse_term("!!y"), parse_term("!(\\z.z)"), parse_term("!(\\u.\\z.z)"))
@@ -281,7 +259,7 @@ def _admits_typing(nf: Term, canon_target, budgets: Budgets) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Discrimination sampling
+# Discrimination
 
 
 @dataclass(frozen=True)
@@ -299,20 +277,16 @@ def _separates(a: MeaningVerdict, b: MeaningVerdict) -> bool:
     return b.meaningless or (b.status == UNKNOWN and "divergence" in b.reason)
 
 
-def discriminate(t: Term, u: Term, ctx_samples: Sequence[Ctx] = (),
-                 budgets: Budgets = Budgets()) -> Discrimination:
-    """Search sampled full contexts for one where the verdicts differ.
+def discriminate(t: Term, u: Term, budgets: Budgets = Budgets()) -> Discrimination:
+    """Do the verdicts of t and u differ in the empty testing context?
 
     A separation pairs a replayed meaningful verdict against a
     meaningless one (or a suspected-divergent Unknown, in which case the
     note records that the evidence is budget-relative)."""
-    contexts = [Ctx(TESTING, ())] + list(ctx_samples)
-    for F in contexts:
-        vt = meaningful(plug(F, t), budgets)
-        vu = meaningful(plug(F, u), budgets)
-        for a, b, flip in ((vt, vu, False), (vu, vt, True)):
-            if _separates(a, b):
-                note = ("separation is budget-relative on the divergent side"
-                        if b.status == UNKNOWN else "")
-                return Discrimination(True, F, vt, vu, note)
+    vt, vu = meaningful(t, budgets), meaningful(u, budgets)
+    for a, b in ((vt, vu), (vu, vt)):
+        if _separates(a, b):
+            note = ("separation is budget-relative on the divergent side"
+                    if b.status == UNKNOWN else "")
+            return Discrimination(True, Ctx(TESTING, ()), vt, vu, note)
     return Discrimination(False, note="indistinguishable so far at these budgets")

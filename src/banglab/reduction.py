@@ -288,9 +288,6 @@ def restricted_step(t: Term, fragment: frozenset[Rule]) -> list[Term]:
 # ---------------------------------------------------------------------------
 # Clashes
 
-_CLASH_SHAPES = ("bang-applied", "abs-substituted", "der-of-abs", "arg-abs-under-non-abs")
-
-
 def _clash_shapes_at(t: Term) -> list[str]:
     found = []
     match t:
@@ -377,37 +374,7 @@ def classify(t: Term) -> NfClass:
 
 
 # ---------------------------------------------------------------------------
-# Dynamic clash-freeness and joinability
-
-YES, NO, UNKNOWN = "yes", "no", "unknown"
-
-
-@dataclass(frozen=True)
-class ClashFreeReport:
-    verdict: str
-    witness: Optional[tuple[Term, tuple[Position, str]]] = None  # offending reduct
-
-
-def clash_free(t: Term, closure: str = SURFACE, fuel: int = 1000) -> ClashFreeReport:
-    """Does no reduct of t (under the closure) exhibit a clash?
-
-    Clashes are stable under reduction, so inspecting the normalization
-    path and its endpoint decides; divergence within fuel gives Unknown
-    unless a clash already appeared en route.
-    """
-    current = t
-    for _ in range(fuel):
-        cs = static_clashes(current, closure)
-        if cs:
-            return ClashFreeReport(NO, (current, cs[0]))
-        nxt = step(current, closure)
-        if nxt is None:
-            return ClashFreeReport(YES)
-        current = nxt
-    cs = static_clashes(current, closure)
-    if cs:
-        return ClashFreeReport(NO, (current, cs[0]))
-    return ClashFreeReport(UNKNOWN)
+# Joinability
 
 
 def meet_within(u1: Term, u2: Term, succ: Callable[[Term], Iterable[Term]],

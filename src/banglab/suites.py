@@ -49,16 +49,16 @@ class Report:
     notes: list = field(default_factory=list)
     elapsed: float = 0.0
 
-    def ok(self, n: int = 1):
-        self.passed += n
+    def ok(self):
+        self.passed += 1
 
     def fail(self, case: str):
         self.failed += 1
         if len(self.failures) < 25:
             self.failures.append(case)
 
-    def skip(self, n: int = 1):
-        self.unknown += n
+    def skip(self):
+        self.unknown += 1
 
     def to_json(self) -> dict:
         return {

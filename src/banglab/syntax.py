@@ -118,25 +118,6 @@ def free_vars(t: Term) -> frozenset[str]:
     return frozenset(names)
 
 
-def max_free_index(t: Term, depth: int = 0) -> int:
-    """Largest dangling de Bruijn index (negative if locally closed)."""
-    found, stack = [], [(t, depth)]
-    while stack:
-        u, d = stack.pop()
-        kind = type(u)
-        if kind is Var:
-            found.append(-1)
-        elif kind is Idx:
-            found.append(u.k - d)
-        elif kind is Abs or kind is Sub:
-            body, *rest = children(u)
-            stack.append((body, d + 1))
-            stack += [(c, d) for c in rest]
-        else:
-            stack += [(c, d) for c in children(u)]
-    return max(found)
-
-
 def map_leaves(t: Term, leaf: Callable[[Term, int], Term], depth: int = 0) -> Term:
     """Rebuild t with every Var/Idx leaf replaced by leaf(node, d), where
     d is `depth` plus the number of binders above the leaf.
@@ -204,15 +185,6 @@ def esub(name: str, body: Term, arg: Term) -> Term:
     return Sub(name, close_var(body, name), arg)
 
 
-def msubst(t: Term, x: str, u: Term) -> Term:
-    """Capture-avoiding meta-level substitution t{x:=u}.
-
-    `u` must be locally closed; index binders cannot capture its free
-    names, so no renaming is ever needed.
-    """
-    return map_leaves(t, lambda n, d: u if type(n) is Var and n.name == x else n)
-
-
 def subst_bound(body: Term, u: Term, layers: int, depth: int = 0) -> Term:
     """Substitute `u` for the binder opened at `depth` while re-homing.
 
@@ -271,12 +243,6 @@ def children(t: Term) -> tuple[Term, ...]:
     if kind is Var or kind is Idx:
         return ()
     raise TypeError(t)
-
-
-def subterm_at(t: Term, pos: Position) -> Term:
-    for i in pos:
-        t = children(t)[i]
-    return t
 
 
 def _rebuild(t: Term, kids: Sequence[Term]) -> Term:
@@ -595,27 +561,10 @@ def term_to_json(t: Term) -> dict:
     return go(t, ())
 
 
-def term_from_json(obj: dict) -> Term:
-    match obj["k"]:
-        case "var":
-            return Var(obj["name"])
-        case "abs":
-            return lam(obj["binder"], term_from_json(obj["body"]))
-        case "app":
-            return App(term_from_json(obj["fun"]), term_from_json(obj["arg"]))
-        case "sub":
-            return esub(obj["binder"], term_from_json(obj["body"]), term_from_json(obj["arg"]))
-        case "bang":
-            return Bang(term_from_json(obj["inner"]))
-        case "der":
-            return Der(term_from_json(obj["inner"]))
-    raise ValueError(f"unknown node kind {obj['k']!r}")
-
-
 # ---------------------------------------------------------------------------
 # One-hole contexts
 
-LIST, SURFACE, FULL, TESTING = "list", "surface", "full", "testing"
+SURFACE, FULL, TESTING = "surface", "full", "testing"
 
 
 class Frame:
@@ -662,7 +611,6 @@ class DerInner(Frame):
 
 
 _FRAME_KINDS = {
-    LIST: (SubBody,),
     SURFACE: (AppFun, AppArg, AbsBody, SubBody, SubArg, DerInner),
     FULL: (AppFun, AppArg, AbsBody, SubBody, SubArg, DerInner, BangInner),
 }
@@ -687,24 +635,6 @@ class Ctx:
 
     def __str__(self) -> str:
         return print_term(plug(self, HOLE))
-
-    def hole_position(self) -> Position:
-        pos = []
-        for f in self.frames:
-            match f:
-                case AppFun():
-                    pos.append(0)
-                case AppArg():
-                    pos.append(1)
-                case AbsBody():
-                    pos.append(0)
-                case SubBody():
-                    pos.append(0)
-                case SubArg():
-                    pos.append(1)
-                case BangInner() | DerInner():
-                    pos.append(0)
-        return tuple(pos)
 
 
 def _testing_ok(frames: Sequence[Frame]) -> bool:
@@ -807,31 +737,6 @@ def _contains_hole(t: Term) -> bool:
     if isinstance(t, _Hole):
         return True
     return any(_contains_hole(c) for c in children(t))
-
-
-def match_list_bang(t: Term) -> Optional[tuple[Ctx, Term]]:
-    """Decompose t as L<!s> for a list context L, if possible.
-
-    The returned s is opened with the (freshened) binder names of L, so
-    plug(L, Bang(s)) recovers t exactly.
-    """
-    spine, core = peel_subs(t)
-    if not isinstance(core, Bang):
-        return None
-    frames: list[Frame] = []
-    names: list[str] = []
-    used: set[str] = set(free_vars(t))
-    inner = core.inner
-    for node in spine:
-        name = fresh_name(node.hint or "x", used)
-        used.add(name)
-        names.append(name)
-        frames.append(SubBody(name, node.arg))
-    # names[i] belongs to spine[i] (outermost first); the innermost binder
-    # is index 0 at the core.
-    for depth, name in enumerate(reversed(names)):
-        inner = open_var(inner, name, depth)
-    return Ctx(LIST, tuple(frames)), inner
 
 
 # ---------------------------------------------------------------------------

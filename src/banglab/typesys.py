@@ -459,11 +459,6 @@ class Derivation:
     premises: tuple["Derivation", ...] = ()
     binder: Optional[str] = None  # opening variable for abs/es nodes
 
-    def all_judgments(self) -> Iterator[Judgment]:
-        yield self.conclusion
-        for p in self.premises:
-            yield from p.all_judgments()
-
     def to_json(self) -> dict:
         return {
             "system": self.system,
@@ -1309,33 +1304,3 @@ def typing_transport_check(t: Term, u: Term, bounds: Bounds = Bounds()) -> bool:
     """For a one-step full reduct u of t, bounded typing sets coincide
     (compared on the grid one depth level below the bounds)."""
     return grid_typing_set(B, t, bounds) == grid_typing_set(B, u, bounds)
-
-
-# ---------------------------------------------------------------------------
-# Shape of closed typed normal forms
-
-
-def nf_shape(sigma: Type, t: Term, evidence: Optional[Derivation] = None) -> str:
-    """Closed surface-normal inhabitants are bangs at non-arrow types and
-    abstractions at arrow types.
-
-    Returns "must-bang" or "must-abs" on confirmation; raises
-    RuleViolation when the supplied evidence is invalid or the shape
-    claim fails (which would refute the shape invariant).
-    """
-    if evidence is not None:
-        err = check_derivation(evidence)
-        if err:
-            raise RuleViolation(f"bad evidence: {err}")
-        c = evidence.conclusion
-        if c.env != EMPTY_ENV or c.subject != t or c.type != sigma:
-            raise RuleViolation("evidence does not conclude the claimed judgment")
-    if reduction.redexes(t, reduction.SURFACE):
-        raise RuleViolation("subject is not a surface normal form")
-    if isinstance(sigma, Arrow):
-        if not isinstance(t, Abs):
-            raise RuleViolation("arrow-typed closed normal form must be an abstraction")
-        return "must-abs"
-    if not isinstance(t, Bang):
-        raise RuleViolation("non-arrow-typed closed normal form must be a bang")
-    return "must-bang"

@@ -6,8 +6,8 @@ import hypothesis.strategies as st
 import pytest
 
 from banglab import reduction
-from banglab.cbnv import (CBN, CBV, c_meaningful, embed, embed_ctx, in_image,
-                          is_cterm, require_cterm, simulate_check,
+from banglab.cbnv import (CBN, CBV, c_meaningful, embed, embed_ctx, is_cterm,
+                          require_cterm, simulate_check,
                           transfer_check, unembed)
 from banglab.meaning import Budgets, genericity_check, meaningful
 from banglab.reduction import Rule, normalize, restricted_step, step
@@ -75,9 +75,8 @@ def test_unembed_roundtrip():
     for t in enum_terms(5, ("x", "y"), bang_free=True):
         assert unembed(CBN, embed(CBN, t)) == t
         assert unembed(CBV, embed(CBV, t)) == t
-        assert in_image(CBN, embed(CBN, t)) and in_image(CBV, embed(CBV, t))
-    assert not in_image(CBN, p("der !x"))
-    assert not in_image(CBV, Var("x"))
+    assert unembed(CBN, p("der !x")) is None
+    assert unembed(CBV, Var("x")) is None
 
 
 def test_simulation_examples():
@@ -157,11 +156,11 @@ def test_embed_ctx_rejects_bang_and_der_frames():
 
 
 def test_c_meaningful_corpus():
-    v = c_meaningful(CBN, App(Var("x"), Abs("y", OMEGA_C)), want_witness=True)
+    v = c_meaningful(CBN, App(Var("x"), Abs("y", OMEGA_C)))
     assert v.meaningful and v.evidence is not None
     assert c_meaningful(CBN, Abs("x", OMEGA_C)).status == "unknown"
     assert c_meaningful(CBV, Abs("x", OMEGA_C)).meaningful  # a value
-    v = c_meaningful(CBV, p("x (\\y.z)"), want_witness=True)
+    v = c_meaningful(CBV, p("x (\\y.z)"))
     assert v.meaningful and v.evidence is not None
     assert c_meaningful(CBV, App(Var("x"), OMEGA_C)).status == "unknown"
     assert c_meaningful(CBN, App(Var("x"), OMEGA_C)).meaningful
@@ -170,7 +169,7 @@ def test_c_meaningful_corpus():
 def test_cbn_witness_reaches_identity():
     for s in ["x x", "x (\\y.y)", "\\x.\\y. y x", "y[y<-x z]"]:
         t = p(s)
-        v = c_meaningful(CBN, t, want_witness=True)
+        v = c_meaningful(CBN, t)
         assert v.meaningful and v.evidence is not None, s
         out = normalize(plug(v.evidence.context, t), CBN, 400)
         assert out.normalized and out.term == p("\\z.z"), s
@@ -181,10 +180,29 @@ def test_cbv_witness_reaches_value():
 
     for s in ["x x", "x (\\y.z)", "\\x.x", "(\\x.x) (\\y.y)"]:
         t = p(s)
-        v = c_meaningful(CBV, t, want_witness=True)
+        v = c_meaningful(CBV, t)
         assert v.meaningful and v.evidence is not None, s
         out = normalize(plug(v.evidence.context, t), CBV, 400)
         assert out.normalized and is_value(out.term), s
+
+
+def test_meaningful_c_verdicts_carry_replayed_witnesses():
+    from banglab.cbnv import is_value
+
+    decided = 0
+    for tag, profile in ((CBN, "cbn-image"), (CBV, "cbv-image")):
+        for seed in range(15):
+            for size in range(3, 13):
+                t = unembed(tag, gen_term(seed, size, profile))
+                v = c_meaningful(tag, t)
+                if not v.meaningful:
+                    continue
+                decided += 1
+                assert v.evidence is not None, (tag, print_term(t))
+                out = normalize(plug(v.evidence.context, t), tag, 2400)
+                assert out.normalized and out.term == v.evidence.result
+                assert out.term == p("\\z.z") if tag == CBN else is_value(out.term)
+    assert decided > 0
 
 
 def test_transfer_corpus():

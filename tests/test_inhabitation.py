@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from banglab.inhabitation import inhabit, inhabit_env
+from banglab.inhabitation import inhabit
 from banglab.inhabitation import testable as is_testable
 from banglab.syntax import Bang, parse_term, print_term
 from banglab.typesys import (Arrow, B, Bounds, EMPTY_ENV, EMPTY_MULTI, Env,
@@ -74,12 +74,6 @@ def test_v_inhabitation():
     assert inhabit(V, multi(a)).status == "not-inhabited"
 
 
-def test_inhabit_env():
-    assert inhabit_env(B, EMPTY_ENV) == {}
-    out = inhabit_env(B, Env.of({"x": multi(Arrow(multi(a), b), multi(a))}))
-    assert out["x"].status == "not-inhabited"
-
-
 def test_testable_examples():
     assert is_testable(B, (EMPTY_ENV, EMPTY_MULTI)).verdict == "yes"
     mix = Arrow(multi(Arrow(multi(a), b), multi(a)), b)
@@ -88,7 +82,7 @@ def test_testable_examples():
     assert is_testable(B, (Env.of({"x": EMPTY_MULTI}), Arrow(multi(a), multi(a)))
                     ).verdict == "no"
     ok = is_testable(B, (EMPTY_ENV, Arrow(multi(EMPTY_MULTI), EMPTY_MULTI)))
-    assert ok.verdict == "yes" and ok.args_witnesses[0] is not None
+    assert ok.verdict == "yes" and ok.args_results[0][1].witness is not None
 
 
 # sha256 of (system, goal, status, reason, witness, derivation) over the

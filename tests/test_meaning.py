@@ -6,8 +6,7 @@ import pytest
 
 from banglab import reduction, typesys
 from banglab.inhabitation import testable as is_testable
-from banglab.meaning import (Budgets, build_testing_context,
-                             check_testable_everywhere, discriminate,
+from banglab.meaning import (Budgets, build_testing_context, discriminate,
                              genericity_check, meaningful,
                              meaningless_certificate, replay,
                              search_testing_context)
@@ -113,18 +112,6 @@ def test_env_wrapping_captures():
     assert "x" not in free_vars(plugged)
 
 
-def test_check_testable_everywhere():
-    d = next(derivation() for typing, derivation in typings_enumerate(B, p("!(\\z.z)"))
-             if typing == (EMPTY_ENV, EMPTY_MULTI))
-    ok, reports = check_testable_everywhere(d)
-    assert ok and all(r.verdict == "yes" for r in reports)
-    # the self-application derivation has an untestable root
-    stream = typings_enumerate(B, p("x x"))
-    _, derivation = next(stream)
-    ok, reports = check_testable_everywhere(derivation())
-    assert not ok and reports[0].verdict == "no"
-
-
 def _suspended_rule_streams() -> int:
     return sum(1 for o in gc.get_objects()
                if isinstance(o, types.GeneratorType)
@@ -152,8 +139,11 @@ def test_testability_propagates_from_root():
     for s in ["\\z.z", "!x", "der !x", "\\x.!x"]:
         v = meaningful(p(s), BUD)
         if v.meaningful and v.evidence.derivation is not None:
-            _, reports = check_testable_everywhere(v.evidence.derivation)
-            assert all(r.verdict != "no" for r in reports), s
+            nodes = [v.evidence.derivation]
+            while nodes:
+                d = nodes.pop()
+                assert is_testable(d.system, d.conclusion.typing).verdict != "no", s
+                nodes += d.premises
 
 
 def test_closed_context_typing_roundtrip():

@@ -13,11 +13,11 @@ from banglab.typesys import (Arrow, B, Bounds, Derivation, EMPTY_ENV,
                              EMPTY_MULTI, Env, Judgment, Multi, N, TVar, V,
                              args, canonical_nf_derivation, canon_typing,
                              check_derivation, env_sum, find_derivation,
-                             grid_typing_set, multi, nf_shape, on_grid,
+                             grid_typing_set, multi, on_grid,
                              parse_type, print_type, rename_tvars, typable,
                              typing_pairs,
                              typing_transport_check, typings_enumerate,
-                             untypable_certificate, RuleViolation, _ENVS,
+                             untypable_certificate, _ENVS,
                              _MULTIS, _is_opened, _opening, _pairs)
 
 p = parse_term
@@ -507,18 +507,3 @@ def test_transport_sampled(seed):
     for u in reduction.reducts(t, reduction.FULL):
         assert typing_transport_check(t, u) or typing_transport_check(
             t, u, Bounds(card=3, pool=2, depth=3))
-
-
-def test_nf_shape():
-    assert nf_shape(EMPTY_MULTI, p("!u")) == "must-bang"
-    d = next(derivation() for typing, derivation in typings_enumerate(B, p("\\x.!x"))
-             if typing == (EMPTY_ENV, Arrow(multi(a), multi(a))))
-    assert nf_shape(Arrow(multi(a), multi(a)), p("\\x.!x"), d) == "must-abs"
-
-
-def test_nf_shape_rejects_fake_evidence():
-    fake = Derivation(B, "bang", Judgment(EMPTY_ENV, p("\\x.x"), EMPTY_MULTI))
-    with pytest.raises(RuleViolation):
-        nf_shape(EMPTY_MULTI, p("\\x.x"), fake)
-    with pytest.raises(RuleViolation):
-        nf_shape(EMPTY_MULTI, p("\\x.x"))
