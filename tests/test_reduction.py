@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import operator
 import time
@@ -146,6 +147,33 @@ def test_normalize_matches_the_oracle_on_church_arithmetic(op, a, b):
     source = App(App(p(ARITHMETIC[op]), church(a)), church(b))
     for tag, closure in itertools.product((CBN, CBV), (FULL, SURFACE)):
         assert_matches_oracle(embed(tag, source), closure, 10_000, same_term)
+
+
+# sha256 over the Church items above, each embedded by CBN and CBV and
+# normalized under the full and the surface closure: the (rule, position)
+# of every step, then the normal form in preorder (node kind, binder hint,
+# name or index), written out without recursion.
+REWRITE_DIGEST = "91384e4f4a78c6181522453c4677eb595166f4a92f7fda1b1aba2e0f4529aea7"
+
+
+def _preorder(t):
+    stack = [t]
+    while stack:
+        u = stack.pop()
+        yield type(u).__name__, getattr(u, "hint", None), getattr(u, "name", None), \
+            getattr(u, "k", None)
+        stack += reversed(children(u))
+
+
+def test_church_rewriting_is_pinned():
+    h = hashlib.sha256()
+    for op, a, b in (("add", 64, 64), ("mul", 16, 16), ("pow", 2, 8)):
+        source = App(App(p(ARITHMETIC[op]), church(a)), church(b))
+        for tag, closure in itertools.product((CBN, CBV), (FULL, SURFACE)):
+            out = normalize(embed(tag, source), closure, 10_000, keep_trace=True)
+            h.update(repr([(rule.value, pos) for rule, pos, _ in out.trace]).encode())
+            h.update(repr(list(_preorder(out.term))).encode())
+    assert h.hexdigest() == REWRITE_DIGEST
 
 
 def test_distance_redex():
