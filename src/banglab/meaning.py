@@ -266,8 +266,6 @@ def _admits_typing(nf: Term, canon_target, budgets: Budgets) -> bool:
 class Discrimination:
     separated: bool
     context: Optional[Ctx] = None
-    left: Optional[MeaningVerdict] = None
-    right: Optional[MeaningVerdict] = None
     note: str = ""
 
 
@@ -288,5 +286,5 @@ def discriminate(t: Term, u: Term, budgets: Budgets = Budgets()) -> Discriminati
         if _separates(a, b):
             note = ("separation is budget-relative on the divergent side"
                     if b.status == UNKNOWN else "")
-            return Discrimination(True, Ctx(TESTING, ()), vt, vu, note)
+            return Discrimination(True, Ctx(TESTING, ()), note)
     return Discrimination(False, note="indistinguishable so far at these budgets")

@@ -5,6 +5,17 @@ bound variables are de Bruijn indices, and every binder stores a display
 hint that is ignored by equality.  Alpha-equivalent terms are therefore
 structurally equal, hashable, and usable as set/dict keys.
 
+Every node also stores `loose`: one past its largest dangling index (an
+Idx not bound inside the node), or 0 if it is locally closed
+(Chargueraud, "The Locally Nameless Representation", JAR 2012; Lean 4
+keeps the same bound in its expressions).  The constructor computes it
+in O(1) from the children: Idx(k) has k + 1, Var and HOLE 0, an
+abstraction its body's less one (floored at 0), a closure the larger of
+that and its argument's, and App, Bang and Der the largest of their
+children's.  It is not part of the term: ==, hash, repr and pattern
+matching ignore it.  The index maps use it to skip what they cannot
+change (`map_leaves`).
+
 The concrete grammar (parse_term / print_term):
 
     term    := lam | app
@@ -34,9 +45,16 @@ class Term:
     """Base class of bang-calculus terms."""
 
     __slots__ = ()
+    loose = 0  # Var and HOLE hold no index; the other nodes store their own
 
     def __str__(self) -> str:
         return print_term(self)
+
+
+# A node's `loose`, set once by its constructor and ignored by ==, hash,
+# repr and pattern matching.
+_LOOSE = field(init=False, repr=False, compare=False)
+_set = object.__setattr__  # the frozen dataclasses' own way to fill a slot
 
 
 @dataclass(frozen=True, slots=True)
@@ -51,6 +69,10 @@ class Idx(Term):
     """Bound variable as a de Bruijn index (internal representation)."""
 
     k: int
+    loose: int = _LOOSE
+
+    def __post_init__(self):
+        _set(self, "loose", self.k + 1)
 
 
 @dataclass(frozen=True, slots=True)
@@ -59,12 +81,21 @@ class Abs(Term):
 
     hint: str = field(compare=False)
     body: Term
+    loose: int = _LOOSE
+
+    def __post_init__(self):
+        _set(self, "loose", self.body.loose - 1 if self.body.loose else 0)
 
 
 @dataclass(frozen=True, slots=True)
 class App(Term):
     fun: Term
     arg: Term
+    loose: int = _LOOSE
+
+    def __post_init__(self):
+        a, b = self.fun.loose, self.arg.loose
+        _set(self, "loose", a if a > b else b)
 
 
 @dataclass(frozen=True, slots=True)
@@ -77,16 +108,29 @@ class Sub(Term):
     hint: str = field(compare=False)
     body: Term
     arg: Term
+    loose: int = _LOOSE
+
+    def __post_init__(self):
+        a, b = self.body.loose - 1, self.arg.loose
+        _set(self, "loose", a if a > b else b)
 
 
 @dataclass(frozen=True, slots=True)
 class Bang(Term):
     inner: Term
+    loose: int = _LOOSE
+
+    def __post_init__(self):
+        _set(self, "loose", self.inner.loose)
 
 
 @dataclass(frozen=True, slots=True)
 class Der(Term):
     inner: Term
+    loose: int = _LOOSE
+
+    def __post_init__(self):
+        _set(self, "loose", self.inner.loose)
 
 
 # ---------------------------------------------------------------------------
@@ -118,9 +162,17 @@ def free_vars(t: Term) -> frozenset[str]:
     return frozenset(names)
 
 
-def map_leaves(t: Term, leaf: Callable[[Term, int], Term], depth: int = 0) -> Term:
-    """Rebuild t with every Var/Idx leaf replaced by leaf(node, d), where
-    d is `depth` plus the number of binders above the leaf.
+def map_leaves(t: Term, leaf: Callable[[Term, int], Term], depth: int = 0,
+               names: bool = False) -> Term:
+    """Rebuild t with leaves replaced by leaf(node, d), where d is `depth`
+    plus the number of binders above the leaf.
+
+    An index map (the default) is one that leaves every Var, and every
+    Idx(k) with k < d, as it is: those are bound inside the subterm or
+    named.  A subterm u with u.loose <= d holds no other leaf, so the walk
+    returns it as it is without entering it, and `leaf` only ever sees an
+    Idx(k) with k >= d.  With `names`, the leaf map also rewrites Var
+    leaves, which `loose` says nothing about, so every leaf is visited.
 
     A subterm whose leaves all come back unchanged is shared, not copied.
     The walk keeps its own stack, so any depth of t is safe."""
@@ -136,10 +188,10 @@ def map_leaves(t: Term, leaf: Callable[[Term, int], Term], depth: int = 0) -> Te
             if any(map(is_not, new, kids)):
                 u = _rebuild(u, new)
             done.append(u)
+        elif u.loose <= d and not names or kind is _Hole:
+            done.append(u)
         elif kind is Var or kind is Idx:
             done.append(leaf(u, d))
-        elif kind is _Hole:
-            done.append(u)
         else:
             todo.append((u, None))
             if kind is App:
@@ -159,20 +211,18 @@ def shift_free(t: Term, delta: int, cutoff: int = 0) -> Term:
     """Add `delta` to every dangling index >= cutoff."""
     if delta == 0:
         return t
-    return map_leaves(t, lambda n, d: Idx(n.k + delta) if type(n) is Idx and n.k >= d else n,
-                      cutoff)
+    return map_leaves(t, lambda n, d: Idx(n.k + delta), cutoff)
 
 
 def close_var(t: Term, name: str, depth: int = 0) -> Term:
     """Turn free occurrences of `name` into the index bound at `depth`."""
     return map_leaves(t, lambda n, d: Idx(d) if type(n) is Var and n.name == name else n,
-                      depth)
+                      depth, names=True)
 
 
 def open_var(t: Term, name: str, depth: int = 0) -> Term:
     """Turn the index bound at `depth` into the free variable `name`."""
-    return map_leaves(t, lambda n, d: Var(name) if type(n) is Idx and n.k == d else n,
-                      depth)
+    return map_leaves(t, lambda n, d: Var(name) if n.k == d else n, depth)
 
 
 def lam(name: str, body: Term) -> Term:
@@ -192,14 +242,21 @@ def subst_bound(body: Term, u: Term, layers: int, depth: int = 0) -> Term:
     under `layers` additional closure binders, so indices pointing above
     the removed binder are displaced by layers - 1, and copies of `u`
     spliced at internal depth d get their dangling indices shifted by d.
+
+    The walk skips every subterm of the body that holds no index bound at
+    or above its depth (`map_leaves`), and the copy of `u` for depth d is
+    made once and spliced at every occurrence at that depth: terms are
+    immutable, so the occurrences can share it.
     """
-    def leaf(n: Term, d: int) -> Term:
-        if type(n) is Idx:
-            if n.k == d:
-                return shift_free(u, d)
-            if n.k > d:
-                return Idx(n.k + layers - 1)
-        return n
+    copies: dict[int, Term] = {}
+
+    def leaf(n: Idx, d: int) -> Term:
+        if n.k > d:
+            return Idx(n.k + layers - 1)
+        copy = copies.get(d)
+        if copy is None:
+            copy = copies[d] = shift_free(u, d)
+        return copy
 
     return map_leaves(body, leaf, depth)
 
@@ -844,14 +901,6 @@ def enum_terms(size_bound: int, free_pool: Sequence[str] = ("x", "y"),
     pool = tuple(free_pool)
     for size in range(1, size_bound + 1):
         yield from _enum(size, 0, pool, bang_free)
-
-
-def term_size(t: Term) -> int:
-    size, stack = 0, [t]
-    while stack:
-        size += 1
-        stack.extend(children(stack.pop()))
-    return size
 
 
 # ---------------------------------------------------------------------------

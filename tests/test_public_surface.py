@@ -1,9 +1,11 @@
-"""Every name `banglab` exports is used by the program or the benchmark.
+"""Every name `banglab` exports, and every public top-level function of
+its modules, is used by the program or the benchmark.
 
 A name counts as used when some module of `src/banglab` other than
 `__init__.py`, or of `bench/`, reads it outside its own definition: as a
 name, as an attribute, or as the string the traced benchmark looks it up
-by.  A name that only its own tests reach is dead surface."""
+by.  A name that only its own tests reach is dead surface: a test oracle
+belongs in `tests/_oracles.py`."""
 
 import ast
 from pathlib import Path
@@ -11,6 +13,7 @@ from pathlib import Path
 import banglab
 
 ROOT = Path(__file__).resolve().parent.parent
+MODULES = [p for p in (ROOT / "src" / "banglab").glob("*.py") if p.name != "__init__.py"]
 
 # embed_ctx has no caller yet: the c-genericity suite (ROADMAP item 13)
 # checks genericity through it, and EMBED_CTX_DIGEST pins it until then.
@@ -33,12 +36,18 @@ def _names_read(tree: ast.AST, inside: frozenset = frozenset()) -> set[str]:
     return found - inside
 
 
-def test_every_export_is_used_outside_its_tests():
-    modules = [p for p in (ROOT / "src" / "banglab").glob("*.py")
-               if p.name != "__init__.py"]
-    modules += (ROOT / "bench").glob("*.py")
+def _used() -> set[str]:
     used = set()
-    for path in modules:
+    for path in [*MODULES, *(ROOT / "bench").glob("*.py")]:
         used |= _names_read(ast.parse(path.read_text()))
-    unused = sorted(set(banglab.__all__) - used - ALLOWED)
-    assert unused == []
+    return used
+
+
+def test_every_export_is_used_outside_its_tests():
+    assert sorted(set(banglab.__all__) - _used() - ALLOWED) == []
+
+
+def test_every_public_function_is_used_outside_its_tests():
+    functions = {node.name for path in MODULES for node in ast.parse(path.read_text()).body
+                 if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")}
+    assert sorted(functions - _used() - ALLOWED) == []

@@ -15,9 +15,9 @@ from banglab.reduction import (CBN, CBV, DB_DBANG, FULL, SBANG_ONLY, SURFACE,
                                subterms)
 from banglab.syntax import (Abs, App, Bang, Der, Idx, OMEGA, Sub, Var,
                             children, enum_terms, free_vars, gen_term,
-                            parse_term, print_term, term_size)
+                            parse_term, print_term)
 
-from _oracles import subterm_at
+from _oracles import loose_of, subterm_at, term_size
 
 p = parse_term
 CLOSURES = (SURFACE, FULL, CBN, CBV)
@@ -174,6 +174,21 @@ def test_church_rewriting_is_pinned():
             h.update(repr([(rule.value, pos) for rule, pos, _ in out.trace]).encode())
             h.update(repr(list(_preorder(out.term))).encode())
     assert h.hexdigest() == REWRITE_DIGEST
+
+
+def test_rewriting_keeps_loose_right():
+    # the walk builds every node of a trace with with_child, and the rules
+    # with the index maps
+    source = App(App(p(ARITHMETIC["add"]), church(64)), church(64))
+    for tag, closure in itertools.product((CBN, CBV), (FULL, SURFACE)):
+        out = normalize(embed(tag, source), closure, 10_000, keep_trace=True)
+        seen, todo = set(), [u for _, _, u in out.trace]
+        while todo:
+            u = todo.pop()
+            if id(u) not in seen:
+                seen.add(id(u))
+                assert u.loose == loose_of(u)
+                todo += children(u)
 
 
 def test_distance_redex():

@@ -10,10 +10,11 @@ from banglab.syntax import (Abs, App, Bang, Der, Idx, Sub, Var,
                             free_vars, gen_term, lam, esub, open_var,
                             parse_context, parse_term, plug, print_term,
                             replace_at, shift_free, subst_bound,
-                            term_to_json, term_size,
+                            term_to_json,
                             ParseError, I, DELTA, OMEGA)
 
-from _oracles import max_free_index, msubst, term_from_json
+from _oracles import (loose_of, max_free_index, msubst, open_var_ref, shift_free_ref,
+                      subst_bound_ref, term_from_json, term_size)
 
 p = parse_term
 
@@ -89,13 +90,32 @@ def test_msubst_identity_when_not_free():
     assert msubst(t, "z", OMEGA) == t
 
 
+def _grid():
+    """Every subterm of enum_terms(6): the subterms bring in dangling
+    indices, which enum_terms never yields."""
+    return {u for t in enum_terms(6) for _, u in subterms(t, FULL)}
+
+
+def test_loose_is_one_past_the_largest_dangling_index():
+    for t in _grid():
+        assert t.loose == loose_of(t), t
+
+
+def test_loose_is_not_part_of_a_term():
+    t, u = p("\\x. x y"), p("\\x. x y")
+    object.__setattr__(u, "loose", 7)
+    assert t == u and hash(t) == hash(u) and repr(t) == repr(u)
+    assert "loose" not in repr(Sub("s", Idx(3), Bang(Der(App(Idx(1), Var("y"))))))
+    for kind in (Var, Idx, Abs, App, Sub, Bang, Der):
+        assert "loose" not in kind.__match_args__
+
+
 def test_index_maps_agree_on_small_terms():
     # Each law ties two leaf callbacks together, or one to the separate
     # recursion of max_free_index, so an off-by-one in the depth or cutoff
-    # handling of any of them breaks one.  The subterms bring in dangling
-    # indices, which enum_terms never yields.
+    # handling of any of them breaks one.
     closed_args = (Var("y"), I, Bang(Var("x")))
-    for t in {u for t in enum_terms(6) for _, u in subterms(t, FULL)}:
+    for t in _grid():
         top = max_free_index(t)
         assert max_free_index(shift_free(t, 1)) == (top + 1 if top >= 0 else top)
         for c in (0, 1):
@@ -106,6 +126,29 @@ def test_index_maps_agree_on_small_terms():
             assert open_var(close_var(t, "x"), "x") == t
             for u in closed_args:
                 assert msubst(t, "x", u) == subst_bound(close_var(t, "x"), u, 1)
+
+
+def test_skipping_index_maps_equal_the_full_walk():
+    # The skip of map_leaves is exact: every index map gives what visiting
+    # every leaf gives.
+    args = (Var("z"), Idx(0), App(Idx(1), Var("y")), I)
+    for t in _grid():
+        for c in (0, 1):
+            for delta in (1, 2):
+                assert shift_free(t, delta, c) == shift_free_ref(t, delta, c)
+            assert open_var(t, "z", c) == open_var_ref(t, "z", c)
+            for u in args:
+                for layers in (0, 1, 2):
+                    assert subst_bound(t, u, layers, c) == subst_bound_ref(t, u, layers, c)
+
+
+def test_subst_bound_splices_one_copy_per_depth():
+    # two occurrences of the substituted binder under one binder, two under two
+    body = Abs("a", App(App(Idx(1), Idx(1)), Abs("b", App(Idx(2), Idx(2)))))
+    got = subst_bound(body, App(Idx(0), Var("y")), 1)
+    (first, second), (third, fourth) = children(got.body.fun), children(got.body.arg.body)
+    assert first is second and third is fourth and first is not third
+    assert first == App(Idx(1), Var("y")) and third == App(Idx(2), Var("y"))
 
 
 DEEP = 10_000
@@ -143,6 +186,7 @@ def test_index_maps_survive_deep_terms():
              (replace_at(named, (0,) * DEEP, Var("z")), Var("z"))]
     for got, leaf in cases:
         assert _spine(got) == (shape, leaf)
+        assert got.loose == loose_of(got)
     # one node per level, plus the other child of each closure and application
     assert term_size(named) == 1 + DEEP + 2 * DEEP // 5
 
@@ -153,6 +197,7 @@ def test_free_vars_and_max_free_index_survive_deep_terms():
     assert free_vars(named) == {"x", "y"} and free_vars(dangling) == {"y"}
     assert max_free_index(named) == -1
     assert max_free_index(dangling) == 3 and max_free_index(dangling, 1) == 2
+    assert (named.loose, dangling.loose) == (loose_of(named), loose_of(dangling)) == (0, 4)
 
 
 def test_plug():
