@@ -7,7 +7,7 @@ structurally equal, hashable, and usable as set/dict keys.
 
 Every node also stores `loose`: one past its largest dangling index (an
 Idx not bound inside the node), or 0 if it is locally closed
-(Chargueraud, "The Locally Nameless Representation", JAR 2012; Lean 4
+(Charguéraud, "The Locally Nameless Representation", JAR 2012; Lean 4
 keeps the same bound in its expressions).  The constructor computes it
 in O(1) from the children: Idx(k) has k + 1, Var and HOLE 0, an
 abstraction its body's less one (floored at 0), a closure the larger of
@@ -52,9 +52,11 @@ class Term:
 
 
 # A node's `loose`, set once by its constructor and ignored by ==, hash,
-# repr and pattern matching.
+# repr and pattern matching.  The constructors are written out, setting
+# each slot as the generated ones do: a __post_init__ made every node
+# about 30 % slower to build.
 _LOOSE = field(init=False, repr=False, compare=False)
-_set = object.__setattr__  # the frozen dataclasses' own way to fill a slot
+_set = object.__setattr__
 
 
 @dataclass(frozen=True, slots=True)
@@ -71,8 +73,9 @@ class Idx(Term):
     k: int
     loose: int = _LOOSE
 
-    def __post_init__(self):
-        _set(self, "loose", self.k + 1)
+    def __init__(self, k: int):
+        _set(self, "k", k)
+        _set(self, "loose", k + 1)
 
 
 @dataclass(frozen=True, slots=True)
@@ -83,8 +86,10 @@ class Abs(Term):
     body: Term
     loose: int = _LOOSE
 
-    def __post_init__(self):
-        _set(self, "loose", self.body.loose - 1 if self.body.loose else 0)
+    def __init__(self, hint: str, body: Term):
+        _set(self, "hint", hint)
+        _set(self, "body", body)
+        _set(self, "loose", body.loose - 1 if body.loose else 0)
 
 
 @dataclass(frozen=True, slots=True)
@@ -93,9 +98,10 @@ class App(Term):
     arg: Term
     loose: int = _LOOSE
 
-    def __post_init__(self):
-        a, b = self.fun.loose, self.arg.loose
-        _set(self, "loose", a if a > b else b)
+    def __init__(self, fun: Term, arg: Term):
+        _set(self, "fun", fun)
+        _set(self, "arg", arg)
+        _set(self, "loose", fun.loose if fun.loose > arg.loose else arg.loose)
 
 
 @dataclass(frozen=True, slots=True)
@@ -110,9 +116,11 @@ class Sub(Term):
     arg: Term
     loose: int = _LOOSE
 
-    def __post_init__(self):
-        a, b = self.body.loose - 1, self.arg.loose
-        _set(self, "loose", a if a > b else b)
+    def __init__(self, hint: str, body: Term, arg: Term):
+        _set(self, "hint", hint)
+        _set(self, "body", body)
+        _set(self, "arg", arg)
+        _set(self, "loose", body.loose - 1 if body.loose > arg.loose else arg.loose)
 
 
 @dataclass(frozen=True, slots=True)
@@ -120,8 +128,9 @@ class Bang(Term):
     inner: Term
     loose: int = _LOOSE
 
-    def __post_init__(self):
-        _set(self, "loose", self.inner.loose)
+    def __init__(self, inner: Term):
+        _set(self, "inner", inner)
+        _set(self, "loose", inner.loose)
 
 
 @dataclass(frozen=True, slots=True)
@@ -129,8 +138,9 @@ class Der(Term):
     inner: Term
     loose: int = _LOOSE
 
-    def __post_init__(self):
-        _set(self, "loose", self.inner.loose)
+    def __init__(self, inner: Term):
+        _set(self, "inner", inner)
+        _set(self, "loose", inner.loose)
 
 
 # ---------------------------------------------------------------------------
@@ -162,17 +172,19 @@ def free_vars(t: Term) -> frozenset[str]:
     return frozenset(names)
 
 
-def map_leaves(t: Term, leaf: Callable[[Term, int], Term], depth: int = 0,
+def map_leaves(t: Term, leaf: Callable[[Term, int], Term], depth: int = 0, *,
                names: bool = False) -> Term:
     """Rebuild t with leaves replaced by leaf(node, d), where d is `depth`
     plus the number of binders above the leaf.
 
-    An index map (the default) is one that leaves every Var, and every
-    Idx(k) with k < d, as it is: those are bound inside the subterm or
-    named.  A subterm u with u.loose <= d holds no other leaf, so the walk
-    returns it as it is without entering it, and `leaf` only ever sees an
-    Idx(k) with k >= d.  With `names`, the leaf map also rewrites Var
-    leaves, which `loose` says nothing about, so every leaf is visited.
+    An index map (the default) leaves every Var, and every Idx(k) at a
+    depth d with k < d, as it is.  Such a map cannot change a subterm u
+    met at depth d with u.loose <= d: an Idx(k) inside u under b more
+    binders has k - b < u.loose <= d, so k < d + b, its own depth.  The
+    walk therefore returns u as it is without entering it, and `leaf` only
+    ever sees an Idx(k) with k >= d.  With `names`, the leaf map also
+    rewrites Var leaves, which `loose` says nothing about, so every leaf
+    is visited.
 
     A subterm whose leaves all come back unchanged is shared, not copied.
     The walk keeps its own stack, so any depth of t is safe."""
@@ -188,7 +200,7 @@ def map_leaves(t: Term, leaf: Callable[[Term, int], Term], depth: int = 0,
             if any(map(is_not, new, kids)):
                 u = _rebuild(u, new)
             done.append(u)
-        elif u.loose <= d and not names or kind is _Hole:
+        elif (u.loose <= d and not names) or kind is _Hole:
             done.append(u)
         elif kind is Var or kind is Idx:
             done.append(leaf(u, d))

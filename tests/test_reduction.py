@@ -160,8 +160,8 @@ def _preorder(t):
     stack = [t]
     while stack:
         u = stack.pop()
-        yield type(u).__name__, getattr(u, "hint", None), getattr(u, "name", None), \
-            getattr(u, "k", None)
+        yield (type(u).__name__, getattr(u, "hint", None), getattr(u, "name", None),
+               getattr(u, "k", None))
         stack += reversed(children(u))
 
 
