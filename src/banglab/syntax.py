@@ -53,8 +53,8 @@ class Term:
 
 # A node's `loose`, set once by its constructor and ignored by ==, hash,
 # repr and pattern matching.  The constructors are written out, setting
-# each slot as the generated ones do: a __post_init__ made every node
-# about 30 % slower to build.
+# each slot as the generated ones do, because a __post_init__ makes every
+# node about 30 % slower to build.
 _LOOSE = field(init=False, repr=False, compare=False)
 _set = object.__setattr__
 
