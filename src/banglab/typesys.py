@@ -37,7 +37,7 @@ reader goes, and frees them when it ends.  No row carries a derivation,
 since carrying one in every row of the per-call tables doubled a round
 of the meaning benchmark (1.26 s against 0.62 s on a 2-core VM), and
 the first rule instance of each row would keep a premise tuple per row
-alive in the process-wide tables (87,547 rows after a transfer round):
+alive in the process-wide tables (67,344 rows after a transfer round):
 `_first_derivation` builds one for the typings a caller asks for,
 top-down over the call's tables, taking at each node the first rule
 instance that concludes the wanted typing, from one resumable scan of
@@ -50,8 +50,9 @@ premise, and a subterm's items are indexed by type on the first query
 only, so a lazily drawn table reads a premise only when a non-empty
 multitype asks for it: `|- !t : []` comes at once, whatever t is.  The
 grid tables, the source of `grid_typing_set` and so of the transport
-and transfer checks, are the same tables less the typings that bind a
-free name past the grid (see `_pruned`), dropped as each table is built.
+and transfer checks, are the same tables less the typings that bind past
+the grid a free name or, in V, the binder of an enclosing abstraction
+(see `_pruned`), dropped as each table is built.
 
 A binder is opened with the `%k` name `_opening` takes from its own
 term, not from where the term occurs, so the tables are keyed by system,
@@ -962,8 +963,8 @@ def _rules_at(sys: str, t: Term, want: Type, bounds: Bounds, inner
 _TABLES: dict = {}  # the process-wide memo of _table and _envs_at
 
 
-def _table(memo: dict, sys: str, t: Term, bounds: Bounds, grid: bool = False
-           ) -> Iterator[Pair]:
+def _table(memo: dict, sys: str, t: Term, bounds: Bounds, grid: bool = False,
+           capped: frozenset = frozenset()) -> Iterator[Pair]:
     """A reader over the distinct (env, type) typings of t within the
     bounds, drawn lazily and memoised in `memo`: it keeps one tee iterator
     over t's producer that never advances and hands each reader a copy,
@@ -973,10 +974,16 @@ def _table(memo: dict, sys: str, t: Term, bounds: Bounds, grid: bool = False
     Sato, "OLD Resolution with Tabulation", ICLP 1986) is not needed.
 
     With `grid`, the table grid_typing_set reads: only the typings whose
-    env binds no name outside _is_opened at a multitype deeper than
-    `bounds.depth - 1` (see _pruned).  Its subterms' tables are pruned
-    too, so what is dropped never reaches a rule instance above it."""
-    key = (sys, t, bounds, grid)
+    env binds no name outside _is_opened, and no name in `capped`, at a
+    multitype deeper than `bounds.depth - 1` (see _pruned).  `capped`
+    holds the binder names of the enclosing V abstractions that are free
+    in t: a V abs node adds the name it opens its binder with to the set
+    it hands its body, and each node cuts the set it hands a subterm to
+    the subterm's free names, since _opening may reuse a name that is not
+    free in the subterm.  It is empty in B and N, in the full tables and
+    at every root.  Its subterms' tables are pruned too, so what is
+    dropped never reaches a rule instance above it."""
+    key = (sys, t, bounds, grid, capped)
     start = memo.get(key)
     if start is None:
         start = memo[key] = itertools.tee(_produce(memo, key), 1)[0]
@@ -984,20 +991,25 @@ def _table(memo: dict, sys: str, t: Term, bounds: Bounds, grid: bool = False
 
 
 def _produce(memo: dict, key: tuple) -> Iterator[Pair]:
-    sys, t, bounds, grid = key
+    sys, t, bounds, grid, capped = key
     if sys == B and untypable_certificate(t):
         return
+    inherited = capped | {_opening(t)} if grid and sys == V and isinstance(t, Abs) else capped
+
+    def capped_in(u: Term) -> frozenset:  # the part of `inherited` free in u
+        return inherited & free_vars(u) if inherited else inherited
 
     def items(u: Term) -> Iterator[Pair]:
-        return _table(memo, sys, u, bounds, grid)
+        return _table(memo, sys, u, bounds, grid, capped_in(u))
 
     def at(u: Term):
-        return lambda want: _envs_at(memo, sys, u, want, bounds, grid)
+        c = capped_in(u)
+        return lambda want: _envs_at(memo, sys, u, want, bounds, grid, c)
 
     rows = ((r[0], r[1]) for r in _rules(sys, t, bounds, items, at))
     seen = set()
     try:
-        for row in _pruned(rows, bounds) if grid else rows:
+        for row in _pruned(rows, bounds, capped) if grid else rows:
             if row not in seen:
                 seen.add(row)
                 yield row
@@ -1011,22 +1023,22 @@ def _produce(memo: dict, key: tuple) -> Iterator[Pair]:
         raise
 
 
-def _envs_at(memo: dict, sys: str, t: Term, want: Type, bounds: Bounds, grid: bool
-             ) -> tuple[Pair, ...]:
+def _envs_at(memo: dict, sys: str, t: Term, want: Type, bounds: Bounds, grid: bool,
+             capped: frozenset = frozenset()) -> tuple[Pair, ...]:
     """The (env, want) typings of t, deduplicated and memoised in `memo`
     whole, as each reader reads them: from _rules_at for a demand-driven
     t, else filtered from its table; with `grid`, from the pruned tables,
     and pruned as they are."""
-    key = (sys, t, want, bounds, grid)
+    key = (sys, t, want, bounds, grid, capped)
     rows = memo.get(key)
     if rows is None:
         if _demand_driven(sys, t):
             inner = ((lambda ty: _envs_at(memo, sys, t.inner, ty, bounds, grid))
                      if sys == B else None)
             found = ((r[0], r[1]) for r in _rules_at(sys, t, want, bounds, inner))
-            rows = tuple(dict.fromkeys(_pruned(found, bounds) if grid else found))
+            rows = tuple(dict.fromkeys(_pruned(found, bounds, capped) if grid else found))
         else:
-            rows = tuple(p for p in _table(memo, sys, t, bounds, grid) if p[1] == want)
+            rows = tuple(p for p in _table(memo, sys, t, bounds, grid, capped) if p[1] == want)
         memo[key] = rows
     return rows
 
@@ -1037,27 +1049,47 @@ def _pairs(sys: str, t: Term, bounds: Bounds, grid: bool = False) -> tuple[Pair,
     return tuple(_table(_TABLES, sys, t, bounds, grid))
 
 
-def _pruned(rows: Iterator[Pair], bounds: Bounds) -> Iterator[Pair]:
-    """The rows whose env binds every name outside _is_opened at depth at
-    most `bounds.depth - 1`.  This is exact: the grid table of a term is
-    its full table less the rows dropped here, and on_grid keeps the same
-    typings of either.
+def _pruned(rows: Iterator[Pair], bounds: Bounds, capped: frozenset) -> Iterator[Pair]:
+    """The rows whose env binds every name outside _is_opened, and every
+    name in `capped` (see _table), at depth at most `bounds.depth - 1`.
+    This is exact: the grid table of a root is its full table less the
+    rows dropped here, and on_grid keeps the same typings of either.
 
     - every rule builds its conclusion's env as a sum of premise envs,
       less the binder of an abs/es node;
-    - that binder is always a name _opening makes, one this test keeps;
+    - that binder is always a name _opening makes, one this test keeps
+      unless it is capped;
     - env_sum only grows bindings and drops the empty ones;
     - so the binding of any other name in a premise is a sub-multiset of
       its binding in every conclusion above it, and no shallower.
 
     So a dropped row lies under no on-grid typing of the root, and each
-    premise of a kept row is kept.  The binder's own binding and the
-    types of subterms cannot be pruned this way, since app and es drop
-    the argument's multitype.  A free name of the root that has a
-    binder's form is kept as well, which only prunes less."""
+    premise of a kept row is kept.  The types of subterms cannot be
+    pruned this way, since app and es drop the argument's multitype.  A
+    free name of the root that has a binder's form is kept as well,
+    which only prunes less.
+
+    A capped name is the binder of an enclosing V abstraction, and a row
+    that binds it deeper than `bounds.depth - 1` lies under no typing
+    that abstraction concludes:
+
+    - bindings only grow up to their binder, by the argument above;
+    - a multiset is at least as deep as any sub-multiset, so the binding
+      in the abstraction's premise is that deep too;
+    - the V abs rule makes that binding the domain of an arrow, one level
+      deeper, and drops every arrow deeper than `bounds.depth`;
+    - _opening never opens a binder with a name that is free in its own
+      term, so no abs/es node between the row and the abstraction
+      removes the name, and the premise the row reaches is the one the
+      abstraction opened with it.
+
+    An es binder's binding is matched against the argument's type, which
+    may be as deep as the universe allows, so es binders are never
+    capped; B and N have no depth check in their abs rule, so they cap
+    nothing."""
     limit = bounds.depth - 1
     for env, ty in rows:
-        if all(m._depth <= limit or _is_opened(n) for n, m in env.items):
+        if all(m._depth <= limit or (_is_opened(n) and n not in capped) for n, m in env.items):
             yield env, ty
 
 

@@ -18,7 +18,7 @@ from banglab.typesys import (Arrow, B, Bounds, Derivation, EMPTY_ENV,
                              typing_pairs,
                              typing_transport_check, typings_enumerate,
                              untypable_certificate, _ENVS,
-                             _MULTIS, _is_opened, _opening, _pairs)
+                             _MULTIS, _is_opened, _opening, _pairs, _table)
 
 p = parse_term
 a, b = TVar("a"), TVar("b")
@@ -198,10 +198,36 @@ def _assert_grid_table_exact(sys, t, bounds=Bounds()):
     assert grid_typing_set(sys, t, bounds) == on_full_grid, (sys, t)
 
 
-@pytest.mark.parametrize("src", ["\\x. %0 x", "%0 (\\x. x x)", "%0 %1 y", "\\x. y (x %0)"])
+@pytest.mark.parametrize("src", [
+    "\\x. %0 x", "%0 (\\x. x x)", "%0 %1 y", "\\x. y (x %0)",
+    # deep bindings of es binders: matched against the argument, never capped
+    "(x y)[x<-\\z.z]", "(x x)[x<-\\z.z]", "((\\x. y x)[y<-\\z.z]) w",
+    # deep bindings of abstraction binders: capped in V where they are born
+    "\\y.\\x. y x", "(\\y.\\x. y x) (\\z.z)",
+    # an es binder opened with the name of an enclosing abstraction's binder
+    "(\\w. (x y)[x<-\\z.z]) (\\z.z)"])
 def test_grid_table_with_a_free_binder_name(src):
     for sys in (B, N, V):
         _assert_grid_table_exact(sys, p(src))
+
+
+def _v_grid_rows(root, sub):
+    """The rows of every V grid table of the subterm `sub` that reading
+    the V grid table of `root` builds in a fresh memo."""
+    memo = {}
+    list(_table(memo, V, p(root), Bounds(), True))
+    return [list(rows.__copy__()) for key, rows in memo.items()
+            if len(key) == 5 and key[1] == p(sub)]
+
+
+def test_v_grid_table_caps_abstraction_binders_only():
+    # Under \y. every typing of the body binding %0 (y) gives an arrow
+    # deeper than the bound, so the body's table keeps its empty family.
+    assert _v_grid_rows("\\y.\\x. y x", "\\x. %0 x") == [[(EMPTY_ENV, EMPTY_MULTI)]]
+    # Under an es binder the same body keeps its deep rows: the argument
+    # is typed at whatever multitype the binder is bound to.
+    [rows] = _v_grid_rows("(\\x. y x)[y<-\\z.z]", "\\x. %0 x")
+    assert any(env.get("%0")._depth > Bounds().depth - 1 for env, _ in rows)
 
 
 @hypothesis.given(st.integers(0, 10_000), st.integers(1, 5),
