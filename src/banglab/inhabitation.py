@@ -20,9 +20,9 @@ uninhabited outright.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from functools import lru_cache
-from typing import Iterator, Optional
+from dataclasses import dataclass, field
+from functools import cached_property, lru_cache, partial
+from typing import Callable, Iterator, Optional
 
 from .syntax import App, Bang, Der, I, Term, Var, lam
 from .typesys import (Arrow, B, Bounds, Derivation, EMPTY_ENV, EMPTY_MULTI,
@@ -34,14 +34,25 @@ INHABITED, NOT_INHABITED, UNKNOWN = "inhabited", "not-inhabited", "unknown"
 
 @dataclass(frozen=True)
 class InhResult:
+    """An inhabitation answer.  `derive` builds the derivation of a B
+    witness at its goal, within the bounds the goal was asked at; it runs
+    the first time `derivation` is read, whose value is kept."""
+
     status: str
     witness: Optional[Term] = None
-    derivation: Optional[Derivation] = None
     reason: str = ""
+    derive: Optional[Callable[[], Optional[Derivation]]] = field(
+        default=None, repr=False, compare=False)
 
     @property
     def inhabited(self) -> bool:
         return self.status == INHABITED
+
+    @cached_property
+    def derivation(self) -> Optional[Derivation]:
+        """The witness's derivation at the goal, or None: in N and V, and
+        when the goal lies past the bounds."""
+        return self.derive() if self.derive is not None else None
 
 
 MAX_WITNESS_SIZE = 7  # the node cap of the iterative deepening
@@ -194,8 +205,10 @@ def _gen_goal(sys: str, env: Env, goal: Type, size: int, depth: int) -> Iterator
 @lru_cache(maxsize=None)
 def inhabit(sys: str, goal: Type, bounds: Bounds = Bounds()) -> InhResult:
     """Three-valued bounded inhabitation of a single type.  Memoised: the
-    answer, its witness and the witness's derivation are built once per
-    goal."""
+    answer and its witness are found once per goal, and a B witness's
+    derivation is built the first time it is read (see InhResult), so a
+    caller that reads only the witness, as meaningfulness does, never
+    builds it."""
     reason = _shape_refutation(sys, goal)
     if reason is not None:
         return InhResult(NOT_INHABITED, reason=reason)
@@ -205,8 +218,8 @@ def inhabit(sys: str, goal: Type, bounds: Bounds = Bounds()) -> InhResult:
         return _inhabit_v(goal)
     for size in range(1, MAX_WITNESS_SIZE + 1):
         for w in _gen_goal(sys, EMPTY_ENV, goal, size, 0):
-            d = find_derivation(sys, w, (EMPTY_ENV, goal), bounds)
-            return InhResult(INHABITED, witness=w, derivation=d)
+            return InhResult(INHABITED, witness=w, derive=partial(
+                find_derivation, sys, w, (EMPTY_ENV, goal), bounds))
     return InhResult(UNKNOWN, reason="no witness within search bounds")
 
 

@@ -46,9 +46,11 @@ and scans read the same instances in the same order.
 
 A rule that forms a multitype (the B bang, the V abstraction, a bang
 demanded at a multitype) yields its empty family before it reads a
-premise, and a subterm's items are indexed by type on the first query
-only, so a lazily drawn table reads a premise only when a non-empty
-multitype asks for it: `|- !t : []` comes at once, whatever t is.  The
+premise, and an app or es node reads its argument's table by type (see
+`_lookup`), only as far as the types it asks for, so a lazily drawn
+table reads a premise only when a non-empty multitype asks for it:
+`|- !t : []` comes at once, whatever t is.  A variable's full table is
+its var axioms, built once per process and indexed by type.  The
 grid tables, the source of `grid_typing_set` and so of the transport
 and transfer checks, are the same tables less the typings that bind past
 the grid a free name or, in V, the binder of an enclosing abstraction
@@ -64,6 +66,7 @@ from __future__ import annotations
 import itertools
 import math
 import weakref
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from operator import attrgetter, itemgetter
@@ -669,6 +672,11 @@ def _check(d: Derivation, path: str):
 
 @dataclass(frozen=True)
 class Bounds:
+    """Enumeration bounds: multisets of at most `card` elements, axiom
+    types of depth at most `depth` over `pool` type variables.  Bounds
+    whose type universe would hold more than MAX_UNIVERSE types are
+    refused, since type_universe builds it whole."""
+
     card: int = 2
     pool: int = 2
     depth: int = 3
@@ -680,9 +688,34 @@ class Bounds:
         if self.pool > len(_POOL_NAMES):
             raise ValueError(f"pool must be at most {len(_POOL_NAMES)} (the built-in type "
                              f"variable names), got {self.pool}")
+        size, depth = _universe_size(self.card, self.pool, self.depth)
+        if size > MAX_UNIVERSE:
+            raise ValueError(
+                f"the type universe of card {self.card}, pool {self.pool} and depth "
+                f"{self.depth} has {size:,} types up to depth {depth}, more than the "
+                f"{MAX_UNIVERSE:,} allowed: lower the depth or the card")
 
 
 _POOL_NAMES = ("a", "b", "c", "d", "e", "f", "g", "h")
+MAX_UNIVERSE = 1_000_000  # the most types a Bounds may ask type_universe for
+
+
+def _universe_size(card: int, pool: int, depth: int) -> tuple[int, int]:
+    """The number of types type_universe builds up to `depth`, counted by
+    its recurrence without building them, and the depth counted to: the
+    count stops at the first depth past MAX_UNIVERSE.
+
+    Depth 1 holds the pool variables and [].  The types up to depth d+1
+    are the variables, the multisets of at most `card` types up to depth
+    d, the empty one included, and the arrows from a multitype up to
+    depth d to a type up to depth d."""
+    size, multis = pool + 1, 1
+    for d in range(1, depth):
+        if size > MAX_UNIVERSE:
+            return size, d
+        fresh = math.comb(size + card, card)
+        size, multis = pool + fresh + multis * size, fresh
+    return size, depth
 
 
 @lru_cache(maxsize=None)
@@ -735,6 +768,14 @@ def _var_axioms(sys: str, x: str, bounds: Bounds) -> tuple[Pair, ...]:
     if sys == V:
         return tuple((Env(((x, m),)), m) for m in _value_var_multis(bounds))
     return tuple((Env(((x, multi(ty)),)), ty) for ty in type_universe(bounds))
+
+
+@lru_cache(maxsize=None)
+def _var_axioms_at(sys: str, x: str, bounds: Bounds) -> dict[Type, tuple[Pair]]:
+    """_var_axioms(sys, x, bounds) by type, each type's one row: the
+    typed lookup of a variable in the full tables (see _at), built once
+    per variable and bounds."""
+    return {p[1]: (p,) for p in _var_axioms(sys, x, bounds)}
 
 
 def _acceptable_var_multi(m: Multi, bounds: Bounds) -> bool:
@@ -792,19 +833,21 @@ def _grouped_multisets(items: Iterable, card: int) -> Iterator[tuple]:
             yield tuple(it for combo in choice for it in combo)
 
 
-def _families(lookup: Callable[[Type], Sequence], m: Multi, card: int
+def _families(lookup: Callable[[Type], Iterable], m: Multi, card: int
               ) -> Iterator[tuple[Env, tuple]]:
     """Premise families with one premise per element of m, each an item
     from lookup(element type): equal element types are grouped and drawn
     as combinations with replacement, the groups combined by product.
     Yields (summed env, premises) for the families within the card bound;
-    a group's draws over the bound are dropped before the product."""
+    a group's draws over the bound are dropped before the product.  The
+    combinations need a group's whole candidate list, so each lookup is
+    read to its end, in element order, stopping at the first empty one."""
     groups: dict[Type, int] = {}
     for ty in m.elems:
         groups[ty] = groups.get(ty, 0) + 1
     options = []
     for ty, count in groups.items():
-        cands = lookup(ty)
+        cands = tuple(lookup(ty))
         if not cands:
             return
         draws = []
@@ -826,22 +869,43 @@ def _demand_driven(sys: str, t: Term) -> bool:
     return (sys == B and isinstance(t, Bang)) or (sys == V and isinstance(t, Var))
 
 
-def _lookup(sys: str, u: Term, items, at) -> Callable[[Type], Sequence]:
-    """A function from a type to the items typing u exactly at it: `at`
-    for a demand-driven u, else u's items indexed by type on the first
-    query, so a lookup that is never queried reads none of them."""
-    if _demand_driven(sys, u):
-        return at(u)
-    table: Optional[dict[Type, list]] = None
+def _lookup(sys: str, u: Term, items, at) -> Callable[[Type], Iterable]:
+    """A function from a type to the items typing u exactly at it, in
+    table order: `at(u)` for a demand-driven u, and for a variable where
+    `at` has a lookup for it, else a reader of that type over one shared
+    reader of u's items.  The shared reader files each item under its
+    type as it reads, and a reader of type ty yields ty's filed items,
+    then reads on only as far as ty's next item, so a lookup reads no
+    further into u's table than its queries need, and none of it if it
+    is never queried.  Once the shared reader is at its end, a query
+    returns the filed list itself."""
+    typed = at(u) if _demand_driven(sys, u) or isinstance(u, Var) else None
+    if typed is not None:
+        return typed
+    filed: defaultdict[Type, list] = defaultdict(list)
+    reader: Optional[Iterator] = None  # opened on the first query
+    done = False
 
-    def get(ty: Type) -> Sequence:
-        nonlocal table
-        if table is None:
-            table = {}
-            for it in items(u):
-                table.setdefault(it[1], []).append(it)
-        return table.get(ty, ())
-    return get
+    def read_to(ty: Type) -> bool:
+        """Read on to the next item of type ty; False at the end."""
+        nonlocal reader, done
+        if reader is None:
+            reader = iter(items(u))
+        for it in reader:
+            filed[it[1]].append(it)
+            if it[1] is ty:
+                return True
+        done = True
+        return False
+
+    def reading(ty: Type) -> Iterator:
+        rows = filed[ty]
+        i = 0
+        while i < len(rows) or read_to(ty):
+            yield rows[i]
+            i += 1
+
+    return lambda ty: filed.get(ty, ()) if done else reading(ty)
 
 
 def _is_opened(name: str) -> bool:
@@ -867,7 +931,8 @@ def _rules(sys: str, t: Term, bounds: Bounds, items, at
     An item is any sequence whose first two entries are an env and a
     type; premises are items of the immediate subterms.  `items(u)` gives
     the items of a subterm u, and `at(u)`, for a demand-driven u, a
-    function from a type to the items typing u exactly at it.  The
+    function from a type to the items typing u exactly at it; for a
+    variable, such a function or None, to read its items by type.  The
     instances are produced lazily, so a consumer that looks for one
     conclusion (`_first_derivation`) stops at the first that matches.
     """
@@ -935,12 +1000,14 @@ def _rules(sys: str, t: Term, bounds: Bounds, items, at
 
 def _arg_premises(sys: str, arg: Term, bounds: Bounds, items, at):
     """A function from a multitype m to the ways (env, premises) of typing
-    the argument of an app or es node at m: in N a family with one
-    premise per element of m, in B and V one premise of type m."""
+    the argument of an app or es node at m, produced lazily: in N a family
+    with one premise per element of m (see _families), in B and V one
+    premise of type m, read from the argument's lookup (see _lookup) as
+    the rule takes it."""
     lookup = _lookup(sys, arg, items, at)
     if sys == N:
         return lambda m: _families(lookup, m, bounds.card)
-    return lambda m: [(a[0], (a,)) for a in lookup(m)]
+    return lambda m: ((a[0], (a,)) for a in lookup(m))
 
 
 def _rules_at(sys: str, t: Term, want: Type, bounds: Bounds, inner
@@ -972,6 +1039,8 @@ def _table(memo: dict, sys: str, t: Term, bounds: Bounds, grid: bool = False,
     reads only the tables of strict subterms, so none re-enters itself,
     and the completion step of general tabled resolution (Tamaki and
     Sato, "OLD Resolution with Tabulation", ICLP 1986) is not needed.
+    The full table of a variable is its var axioms, `_var_axioms`, built
+    once per process, so it takes no memo entry.
 
     With `grid`, the table grid_typing_set reads: only the typings whose
     env binds no name outside _is_opened, and no name in `capped`, at a
@@ -983,6 +1052,8 @@ def _table(memo: dict, sys: str, t: Term, bounds: Bounds, grid: bool = False,
     free in the subterm.  It is empty in B and N, in the full tables and
     at every root.  Its subterms' tables are pruned too, so what is
     dropped never reaches a rule instance above it."""
+    if not grid and isinstance(t, Var):
+        return iter(_var_axioms(sys, t.name, bounds))
     key = (sys, t, bounds, grid, capped)
     start = memo.get(key)
     if start is None:
@@ -1003,8 +1074,9 @@ def _produce(memo: dict, key: tuple) -> Iterator[Pair]:
         return _table(memo, sys, u, bounds, grid, capped_in(u))
 
     def at(u: Term):
-        c = capped_in(u)
-        return lambda want: _envs_at(memo, sys, u, want, bounds, grid, c)
+        if grid and not _demand_driven(sys, u):
+            return None  # a grid table reads a variable's grid table by type
+        return _at(memo, sys, u, bounds, grid, capped_in(u))
 
     rows = ((r[0], r[1]) for r in _rules(sys, t, bounds, items, at))
     seen = set()
@@ -1033,14 +1105,24 @@ def _envs_at(memo: dict, sys: str, t: Term, want: Type, bounds: Bounds, grid: bo
     rows = memo.get(key)
     if rows is None:
         if _demand_driven(sys, t):
-            inner = ((lambda ty: _envs_at(memo, sys, t.inner, ty, bounds, grid))
-                     if sys == B else None)
+            inner = _at(memo, sys, t.inner, bounds, grid) if sys == B else None
             found = ((r[0], r[1]) for r in _rules_at(sys, t, want, bounds, inner))
             rows = tuple(dict.fromkeys(_pruned(found, bounds, capped) if grid else found))
         else:
             rows = tuple(p for p in _table(memo, sys, t, bounds, grid, capped) if p[1] == want)
         memo[key] = rows
     return rows
+
+
+def _at(memo: dict, sys: str, u: Term, bounds: Bounds, grid: bool,
+        capped: frozenset = frozenset()) -> Callable[[Type], Sequence[Pair]]:
+    """A function from a type to the (env, type) typings of u at it: in
+    the full tables, one probe of `_var_axioms_at` for a variable that is
+    not demand-driven, which takes no memo entry; else `_envs_at`."""
+    if not grid and isinstance(u, Var) and not _demand_driven(sys, u):
+        rows = _var_axioms_at(sys, u.name, bounds)
+        return lambda want: rows.get(want, ())
+    return lambda want: _envs_at(memo, sys, u, want, bounds, grid, capped)
 
 
 def _pairs(sys: str, t: Term, bounds: Bounds, grid: bool = False) -> tuple[Pair, ...]:
@@ -1185,8 +1267,8 @@ def _first_derivation(memo: dict, sys: str, item: tuple, bounds: Bounds) -> Deri
     first rule instance concluding its typing, then at each premise the
     same, over the tables in `memo`.  Its premises are items of the
     _table and _envs_at tables, tagged with their subterm; `demanded`
-    marks an item reached through `at`, whose instances come from
-    _rules_at instead of _rules.
+    marks an item of a demand-driven subterm (see _demand_driven), whose
+    instances come from _rules_at instead of _rules.
 
     `memo` also keeps, per term (and wanted type, if demanded), one scan
     of its rule instances, resumed where the last search stopped, and the
@@ -1201,8 +1283,8 @@ def _first_derivation(memo: dict, sys: str, item: tuple, bounds: Bounds) -> Deri
             return ((e, vt, v, False) for e, vt in _table(memo, sys, v, bounds))
 
         def at(v: Term):
-            return lambda want: [(e, want, v, True)
-                                 for e, _ in _envs_at(memo, sys, v, want, bounds, False)]
+            demand, typed = _demand_driven(sys, v), _at(memo, sys, v, bounds, False)
+            return lambda want: [(e, want, v, demand) for e, _ in typed(want)]
 
         if demanded:
             inner = _lookup(sys, u.inner, items, at) if sys == B else None

@@ -6,8 +6,11 @@ import sys
 import pytest
 
 import banglab
-from banglab import suites
+from banglab import inhabitation, suites, typesys
 from banglab.cli import main
+from banglab.meaning import meaningful
+from banglab.syntax import parse_term
+from banglab.typesys import B, check_derivation, parse_type
 
 
 def run(capsys, *argv):
@@ -129,6 +132,22 @@ def test_inhabit_json_pinned(capsys):
         assert code == 0 and out == json.dumps(want, indent=2) + "\n", goal
 
 
+def test_meaning_builds_no_inhabitant_derivation(capsys, monkeypatch):
+    # meaningful reads only the witnesses of the goals it inhabits; their
+    # derivations are built when first read, as `inhabit --json` reads them
+    inhabitation.inhabit.cache_clear()
+    calls, find = [], inhabitation.find_derivation
+    monkeypatch.setattr(inhabitation, "find_derivation",
+                        lambda *args: calls.append(args) or find(*args))
+    for src in ("x", "x y", "der x", "\\x. x !x"):
+        assert meaningful(parse_term(src)).meaningful, src
+    assert calls == []
+    d = inhabitation.inhabit(B, parse_type("[a]->[a]")).derivation
+    assert len(calls) == 1 and check_derivation(d) is None
+    code, out, _ = run(capsys, "--json", "inhabit", "--type", "[a]->[a]")
+    assert code == 0 and out == json.dumps(INHABIT_PINS["[a]->[a]"], indent=2) + "\n"
+
+
 def test_closed_stdout_exits_quietly():
     # A reader that has gone away, as with `banglab ... | head -c 100`.
     read_end, write_end = os.pipe()
@@ -236,8 +255,10 @@ def test_testable_malformed_env(capsys):
         assert says in err
 
 
-def test_typings_bad_bounds(capsys):
-    for flag, value in (("--pool", "9"), ("--pool", "0"), ("--depth", "0"), ("--card", "0")):
+def test_typings_bad_bounds(capsys, monkeypatch):
+    monkeypatch.setattr(typesys, "type_universe", None)  # bounds past the cap build none
+    for flag, value in (("--pool", "9"), ("--pool", "0"), ("--depth", "0"), ("--card", "0"),
+                        ("--depth", "5"), ("--card", "1000")):
         code, _, err = run(capsys, "typings", "x", flag, value)
         assert code == 2 and err.startswith("error:") and err.count("\n") == 1
         assert flag[2:] in err

@@ -16,7 +16,7 @@ from banglab.typesys import (Arrow, B, Bounds, Derivation, EMPTY_ENV,
                              grid_typing_set, multi, on_grid,
                              parse_type, print_type, rename_tvars, typable,
                              typing_pairs,
-                             typing_transport_check, typings_enumerate,
+                             type_universe, typing_transport_check, typings_enumerate,
                              untypable_certificate, _ENVS,
                              _MULTIS, _is_opened, _opening, _pairs, _table)
 
@@ -163,6 +163,24 @@ def test_deep_types_build_hash_and_compare():
     assert t is deep(a) and t != u
     assert hash(t) == hash(deep(a)) and {t: 1}[deep(a)] == 1
     assert Env.of({"x": multi(t)}) is Env.of({"x": multi(deep(a))})
+
+
+def test_bounds_are_refused_past_the_universe_cap(monkeypatch):
+    # the universe is counted by type_universe's recurrence
+    for bounds in itertools.product((1, 2, 3), (1, 2, 3), (1, 2, 3)):
+        size, depth = typesys._universe_size(*bounds)
+        if size < 7000:
+            assert size == len(type_universe(Bounds(*bounds))) and depth == bounds[2]
+    monkeypatch.setattr(typesys, "type_universe", None)  # nothing below builds one
+    for bounds, size in (((2, 2, 3), 288), ((3, 2, 3), 3778), ((2, 8, 3), 6669),
+                         ((2, 2, 4), 81_075)):
+        assert typesys._universe_size(*bounds) == (size, bounds[2])
+        Bounds(*bounds)
+    for bounds, size in (((2, 2, 5), "6,684,147,303 types up to depth 5"),
+                         ((2, 2, 10**12), "6,684,147,303 types up to depth 5"),
+                         ((3, 2, 4), "9,014,068,100 types up to depth 4")):
+        with pytest.raises(ValueError, match=size):
+            Bounds(*bounds)
 
 
 # sha256 of the reprs of the _pairs tables, in enum_terms order: B over
@@ -451,6 +469,28 @@ def _fail_once(monkeypatch, subject) -> None:
             raise RuntimeError("injected")
         yield from instances
     monkeypatch.setattr(typesys, "_rules", failing)
+
+
+def test_an_argument_lookup_reads_to_the_first_row_of_its_type(monkeypatch):
+    # x's first arrow axiom is x : [[] -> a] |- x : [] -> a, so the first
+    # typing of x (y z) asks the table of y z for its rows of type [] only,
+    # and that table is drawn up to its first such row and no further
+    t, arg = p("x (y z)"), p("y z")
+    rows = [typing for typing, _ in typings_enumerate(B, arg)]
+    produce, drawn = typesys._produce, []
+
+    def counting(memo, key):
+        for row in produce(memo, key):
+            if key[1] == arg:
+                drawn.append(row)
+            yield row
+    monkeypatch.setattr(typesys, "_produce", counting)
+    stream = typings_enumerate(B, t)
+    (env, ty), _ = next(stream)
+    stream.close()
+    assert ty == a and env.get("y") == multi(Arrow(EMPTY_MULTI, EMPTY_MULTI))
+    first = next(i for i, (_, u) in enumerate(rows) if u == EMPTY_MULTI)
+    assert drawn == rows[:first + 1] and first + 1 < len(rows)
 
 
 def test_a_failed_stream_leaves_no_short_table(monkeypatch):
