@@ -19,8 +19,14 @@ from the root down to the focus.  After a contraction the walk re-checks
 a single ancestor and then resumes at the contracted position instead of
 searching again from the root (`_walk` holds the proof), and a parent is
 rebuilt only when the walk climbs past it with a changed child.  So a
-step costs time linear in the depth of the term.  `subterms`, `redexes`
-and `static_clashes` list every position and keep tuple positions.
+step costs time linear in the depth of the term.  `redexes` and
+`static_clashes` scan every position the closure reaches (`_scan`), and
+build a tuple position only for what they report.
+
+The walks and the rules dispatch on the exact node class
+(`type(t) is App`, ...), as `syntax.children`, `map_leaves` and
+`with_child` do: they run at every node a reduction visits, and such a
+test runs several times faster than a match statement.
 """
 
 from __future__ import annotations
@@ -28,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import partial
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Any, Callable, Iterable, Iterator, Optional
 
 from .syntax import (Abs, App, Bang, Der, Idx, Path, Position, Sub, Term,
                      Var, peel_subs, rebuild_subs, replace_at, shift_free,
@@ -59,21 +65,23 @@ class Redex:
 
 def contract(t: Term) -> Optional[tuple[Rule, Term]]:
     """Contract the redex rooted exactly at t, if any."""
-    match t:
-        case App(fun, arg):
-            spine, core = peel_subs(fun)
-            if isinstance(core, Abs):
-                inner = Sub(core.hint, core.body, shift_free(arg, len(spine)))
-                return Rule.DB, rebuild_subs(spine, inner)
-        case Sub(_, body, arg):
-            spine, core = peel_subs(arg)
-            if isinstance(core, Bang):
-                new = subst_bound(body, core.inner, len(spine))
-                return Rule.SBANG, rebuild_subs(spine, new)
-        case Der(arg):
-            spine, core = peel_subs(arg)
-            if isinstance(core, Bang):
-                return Rule.DBANG, rebuild_subs(spine, core.inner)
+    # Dispatch on the exact node class: `_walk` calls this at every
+    # position it visits, and it runs faster than a match statement.
+    kind = type(t)
+    if kind is App:
+        spine, core = peel_subs(t.fun)
+        if type(core) is Abs:
+            inner = Sub(core.hint, core.body, shift_free(t.arg, len(spine)))
+            return Rule.DB, rebuild_subs(spine, inner)
+    elif kind is Sub:
+        spine, core = peel_subs(t.arg)
+        if type(core) is Bang:
+            new = subst_bound(t.body, core.inner, len(spine))
+            return Rule.SBANG, rebuild_subs(spine, new)
+    elif kind is Der:
+        spine, core = peel_subs(t.inner)
+        if type(core) is Bang:
+            return Rule.DBANG, rebuild_subs(spine, core.inner)
     return None
 
 
@@ -85,15 +93,15 @@ def is_value(t: Term) -> bool:
 def _contract_cbnv(closure: str, t: Term) -> Optional[tuple[Rule, Term]]:
     """Contract the CBN or CBV redex rooted exactly at t, if any.  Their
     substitution rules are the preimages of s! under the embeddings."""
-    match t:
-        case App():
-            return contract(t)
-        case Sub(_, body, arg):
-            if closure == CBN:
-                return Rule.SBANG, subst_bound(body, arg, 0)
-            spine, core = peel_subs(arg)
-            if is_value(core):
-                return Rule.SBANG, rebuild_subs(spine, subst_bound(body, core, len(spine)))
+    kind = type(t)  # dispatch on the exact node class, as `contract` does
+    if kind is App:
+        return contract(t)
+    if kind is Sub:
+        if closure == CBN:
+            return Rule.SBANG, subst_bound(t.body, t.arg, 0)
+        spine, core = peel_subs(t.arg)
+        if is_value(core):
+            return Rule.SBANG, rebuild_subs(spine, subst_bound(t.body, core, len(spine)))
     return None
 
 
@@ -109,37 +117,46 @@ def _entries(closure: str) -> tuple[bool, bool, bool, bool]:
             closure == FULL)
 
 
-def subterms(t: Term, closure: str = SURFACE) -> Iterator[tuple[Position, Term]]:
-    """The subterms at the positions the closure reaches, in preorder,
-    which is lexicographic (leftmost-outermost) position order.
+def _scan(t: Term, closure: str, probe: Callable[[Term], Any]
+          ) -> Iterator[tuple[Position, Any]]:
+    """(position, probe(u)) for each subterm u at a position the closure
+    reaches where the probe is truthy, in preorder, which is
+    lexicographic (leftmost-outermost) position order.
 
     Surface reaches everything outside bangs, full everything.  CBN
     enters abstraction bodies but no argument, CBV arguments but no
     abstraction body, and neither enters a bang or a dereliction.  The
-    walk keeps its own stack, so any depth of t is safe."""
+    walk keeps its own stack, so any depth of t is safe, and one list
+    holds the position of the subterm it is at: a position tuple is
+    built only for a hit, so a scan that reports nothing is linear in
+    the size of t whatever its depth."""
     enter_body, enter_arg, enter_der, enter_bang = _entries(closure)
-    stack: list[tuple[Position, Term]] = [((), t)]
-    while stack:
-        pos, u = stack.pop()
-        yield pos, u
+    path: list[int] = []
+    todo: list[tuple[Term, int, int]] = [(t, 0, 0)]  # (subterm, len(position), last index)
+    while todo:
+        u, n, i = todo.pop()
+        if n:
+            path[n - 1:] = (i,)
+        hit = probe(u)
+        if hit:
+            yield tuple(path), hit
         # Dispatch on the exact node class: this loop is a hot path, and
         # it runs faster than a match statement.
         kind = type(u)
+        n += 1
         if kind is App or kind is Sub:
             if enter_arg:
-                stack.append((pos + (1,), u.arg))
-            stack.append((pos + (0,), u.fun if kind is App else u.body))
+                todo.append((u.arg, n, 1))
+            todo.append((u.fun if kind is App else u.body, n, 0))
         elif kind is Abs and enter_body:
-            stack.append((pos + (0,), u.body))
+            todo.append((u.body, n, 0))
         elif (kind is Der and enter_der) or (kind is Bang and enter_bang):
-            stack.append((pos + (0,), u.inner))
+            todo.append((u.inner, n, 0))
 
 
 def redexes(t: Term, closure: str = SURFACE) -> list[Redex]:
     """All redexes legal under the closure, in leftmost-outermost order."""
-    rules = _rules(closure)
-    return [Redex(pos, *hit) for pos, u in subterms(t, closure)
-            if (hit := rules(u)) is not None]
+    return [Redex(pos, *hit) for pos, hit in _scan(t, closure, _rules(closure))]
 
 
 def apply_redex(t: Term, r: Redex) -> Term:
@@ -290,30 +307,30 @@ def restricted_step(t: Term, fragment: frozenset[Rule]) -> list[Term]:
 
 def _clash_shapes_at(t: Term) -> list[str]:
     found = []
-    match t:
-        case App(fun, arg):
-            _, fcore = peel_subs(fun)
-            if isinstance(fcore, Bang):
-                found.append("bang-applied")
-            _, acore = peel_subs(arg)
-            if isinstance(acore, Abs) and not isinstance(fcore, Abs):
-                found.append("arg-abs-under-non-abs")
-        case Sub(_, _, arg):
-            _, acore = peel_subs(arg)
-            if isinstance(acore, Abs):
-                found.append("abs-substituted")
-        case Der(inner):
-            _, icore = peel_subs(inner)
-            if isinstance(icore, Abs):
-                found.append("der-of-abs")
+    kind = type(t)  # dispatch on the exact node class, as `contract` does
+    if kind is App:
+        _, fcore = peel_subs(t.fun)
+        if type(fcore) is Bang:
+            found.append("bang-applied")
+        _, acore = peel_subs(t.arg)
+        if type(acore) is Abs and type(fcore) is not Abs:
+            found.append("arg-abs-under-non-abs")
+    elif kind is Sub:
+        _, acore = peel_subs(t.arg)
+        if type(acore) is Abs:
+            found.append("abs-substituted")
+    elif kind is Der:
+        _, icore = peel_subs(t.inner)
+        if type(icore) is Abs:
+            found.append("der-of-abs")
     return found
 
 
 def static_clashes(t: Term, closure: str = SURFACE) -> list[tuple[Position, str]]:
     """Positions (legal under the closure) matching one of the four
     ill-formed stuck shapes."""
-    return [(pos, shape) for pos, u in subterms(t, closure)
-            for shape in _clash_shapes_at(u)]
+    return [(pos, shape) for pos, shapes in _scan(t, closure, _clash_shapes_at)
+            for shape in shapes]
 
 
 # ---------------------------------------------------------------------------
@@ -332,31 +349,44 @@ class NfClass(Enum):
 
 
 def _grammar_flags(t: Term) -> tuple[bool, bool, bool]:
-    """(ne, na, nb) membership in the surface clash-free NF grammar."""
-    match t:
-        case Var() | Idx():
-            return True, True, True
-        case App(fun, arg):
-            fne, _, _ = _grammar_flags(fun)
-            _, ana, _ = _grammar_flags(arg)
-            ok = fne and ana
-            return ok, ok, ok
-        case Der(inner):
-            ine, _, _ = _grammar_flags(inner)
-            return ine, ine, ine
-        case Bang(_):
-            return False, True, False
-        case Abs(_, body):
-            _, bna, bnb = _grammar_flags(body)
-            ok = bna or bnb
-            return False, False, ok
-        case Sub(_, body, arg):
-            ane, _, _ = _grammar_flags(arg)
-            if not ane:
-                return False, False, False
-            bne, bna, bnb = _grammar_flags(body)
-            return bne, bna, bnb
-    raise TypeError(t)
+    """(ne, na, nb) membership in the surface clash-free NF grammar.
+
+    One postorder pass on its own stack, so any depth of t is safe: a
+    node is pushed as the marker (node,) below its children, and is
+    decided when the marker comes back up."""
+    flags: list[tuple[bool, bool, bool]] = []
+    todo: list = [t]  # subterms to visit, and (node,) climb markers
+    while todo:
+        u = todo.pop()
+        kind = type(u)
+        if kind is tuple:  # the flags of u's children are on top of `flags`
+            u, = u
+            kind = type(u)
+            if kind is App:
+                ok = flags.pop()[1] and flags[-1][0]
+                flags[-1] = (ok, ok, ok)
+            elif kind is Sub:  # the body's flags, if the argument is neutral
+                if not flags.pop()[0]:
+                    flags[-1] = (False, False, False)
+            elif kind is Abs:
+                ok = flags[-1][1] or flags[-1][2]
+                flags[-1] = (False, False, ok)
+            else:  # Der
+                ok = flags[-1][0]
+                flags[-1] = (ok, ok, ok)
+        elif kind is Var or kind is Idx:
+            flags.append((True, True, True))
+        elif kind is Bang:
+            flags.append((False, True, False))
+        elif kind is App or kind is Sub:
+            todo += ((u,), u.arg, u.fun if kind is App else u.body)
+        elif kind is Abs:
+            todo += ((u,), u.body)
+        elif kind is Der:
+            todo += ((u,), u.inner)
+        else:
+            raise TypeError(u)
+    return flags[0]
 
 
 def classify(t: Term) -> NfClass:

@@ -33,7 +33,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from functools import lru_cache
-from operator import is_not
 from typing import Callable, Iterator, Optional, Sequence
 
 
@@ -186,37 +185,62 @@ def map_leaves(t: Term, leaf: Callable[[Term, int], Term], depth: int = 0, *,
     rewrites Var leaves, which `loose` says nothing about, so every leaf
     is visited.
 
-    A subterm whose leaves all come back unchanged is shared, not copied.
-    The walk keeps its own stack, so any depth of t is safe."""
-    done: list[Term] = []
-    todo: list[tuple[Term, Optional[int]]] = [(t, depth)]
-    while todo:
-        u, d = todo.pop()
-        kind = type(u)
-        if d is None:  # the rebuilt children of u are on top of `done`
-            kids = children(u)
-            new = done[-len(kids):]
-            del done[-len(kids):]
-            if any(map(is_not, new, kids)):
-                u = _rebuild(u, new)
-            done.append(u)
-        elif (u.loose <= d and not names) or kind is _Hole:
-            done.append(u)
-        elif kind is Var or kind is Idx:
-            done.append(leaf(u, d))
-        else:
-            todo.append((u, None))
+    The walk keeps its own stack, so any depth of t is safe.  At each node
+    it enters, it pushes the node itself as the marker to rebuild it by on
+    the way up, then the (second child, depth) pair of an application or a
+    closure, and goes on into the first child directly.  A marker finds
+    its node's new children on top of `done` and rebuilds by the node's
+    class, comparing each child by identity; a node whose children all
+    come back unchanged is returned as itself, so an unchanged subterm is
+    shared, not copied."""
+    done: list[Term] = []  # the results of finished subterms, in order
+    todo: list = []  # (subterm, depth) pairs to visit, and climb markers
+    u, d = t, depth
+    while True:
+        while True:  # down the first children to a leaf or a skipped subterm
+            kind = type(u)
+            if (u.loose <= d and not names) or kind is _Hole:
+                done.append(u)
+                break
+            if kind is Var or kind is Idx:
+                done.append(leaf(u, d))
+                break
+            todo.append(u)
             if kind is App:
-                todo += ((u.arg, d), (u.fun, d))
+                todo.append((u.arg, d))
+                u = u.fun
             elif kind is Sub:
-                todo += ((u.arg, d), (u.body, d + 1))
+                todo.append((u.arg, d))
+                u, d = u.body, d + 1
             elif kind is Abs:
-                todo.append((u.body, d + 1))
+                u, d = u.body, d + 1
             elif kind is Bang or kind is Der:
-                todo.append((u.inner, d))
+                u = u.inner
             else:
                 raise TypeError(u)
-    return done[0]
+        while todo:  # up through the markers to the next second child
+            node = todo.pop()
+            kind = type(node)
+            if kind is tuple:
+                u, d = node
+                break
+            new = done.pop()  # the result of the node's last child
+            if kind is App:
+                fun = done.pop()
+                if fun is not node.fun or new is not node.arg:
+                    node = App(fun, new)
+            elif kind is Sub:
+                body = done.pop()
+                if body is not node.body or new is not node.arg:
+                    node = Sub(node.hint, body, new)
+            elif kind is Abs:
+                if new is not node.body:
+                    node = Abs(node.hint, new)
+            elif new is not node.inner:  # Bang or Der
+                node = kind(new)
+            done.append(node)
+        else:
+            return done[0]
 
 
 def shift_free(t: Term, delta: int, cutoff: int = 0) -> Term:
@@ -314,22 +338,27 @@ def children(t: Term) -> tuple[Term, ...]:
     raise TypeError(t)
 
 
-def _rebuild(t: Term, kids: Sequence[Term]) -> Term:
-    """A node like t with `kids` in place of its children."""
-    kind = type(t)
-    if kind is Abs or kind is Sub:
-        return kind(t.hint, *kids)
-    return kind(*kids)
-
-
 def with_child(t: Term, i: int, new: Term) -> Term:
-    """t itself if its i-th child is `new`, else t rebuilt around it."""
-    kids = children(t)
-    if kids[i] is new:
-        return t
-    kids = list(kids)
-    kids[i] = new
-    return _rebuild(t, kids)
+    """t itself if its i-th child is `new`, else t rebuilt around it.
+
+    Rebuilds by the node's class and `i` (0 or 1 for an application or a
+    closure, 0 for the other inner nodes) without a tuple of children:
+    the zipper's climbs (`zip_up`, `reduction._walk`) call it at every
+    frame.  A leaf has no child, and raises TypeError."""
+    kind = type(t)
+    if kind is App:
+        if i:
+            return t if new is t.arg else App(t.fun, new)
+        return t if new is t.fun else App(new, t.arg)
+    if kind is Sub:
+        if i:
+            return t if new is t.arg else Sub(t.hint, t.body, new)
+        return t if new is t.body else Sub(t.hint, new, t.arg)
+    if kind is Abs:
+        return t if new is t.body else Abs(t.hint, new)
+    if kind is Bang or kind is Der:
+        return t if new is t.inner else kind(new)
+    raise TypeError(t)
 
 
 # A zipper path: frames (node, i) from the root down to a focus, which lies

@@ -5,8 +5,9 @@ compatibility of `pot_mult`, subterm positions, walk lengths and the JSON
 round trip are stated through them.
 """
 
+from banglab.reduction import CBN, CBV, FULL, SURFACE
 from banglab.syntax import (Abs, App, Bang, Der, Idx, Position, Sub, Term, Var,
-                            children, esub, lam, with_child)
+                            children, esub, lam)
 
 
 def max_free_index(t: Term, depth: int = 0) -> int:
@@ -43,20 +44,25 @@ def term_size(t: Term) -> int:
 
 
 def visit_every_leaf(t: Term, leaf, depth: int = 0) -> Term:
-    """`syntax.map_leaves` without its skip: every Var and Idx leaf is
-    replaced by leaf(node, d), d being `depth` plus the binders above it.
-    Unchanged subterms are shared; the walk keeps its own stack."""
+    """`syntax.map_leaves` without its skip and its sharing: every Var and
+    Idx leaf is replaced by leaf(node, d), d being `depth` plus the
+    binders above it, and every other node is built anew by its
+    constructor.  The walk keeps its own stack."""
     done, todo = [], [(t, depth)]
     while todo:
         u, d = todo.pop()
         kind = type(u)
         if d is None:  # the rebuilt children of u are on top of `done`
-            kids = children(u)
-            new = done[-len(kids):]
-            del done[-len(kids):]
-            for i, kid in enumerate(new):
-                u = with_child(u, i, kid)
-            done.append(u)
+            if kind is App:
+                arg = done.pop()
+                done.append(App(done.pop(), arg))
+            elif kind is Sub:
+                arg = done.pop()
+                done.append(Sub(u.hint, done.pop(), arg))
+            elif kind is Abs:
+                done.append(Abs(u.hint, done.pop()))
+            else:
+                done.append(kind(done.pop()))
         elif kind is Var or kind is Idx:
             done.append(leaf(u, d))
         else:
@@ -103,6 +109,50 @@ def msubst(t: Term, x: str, u: Term) -> Term:
     names, so no renaming is ever needed.
     """
     return visit_every_leaf(t, lambda n, d: u if type(n) is Var and n.name == x else n)
+
+
+def subterms(t: Term, closure: str = SURFACE):
+    """(position, subterm) for every position the closure reaches, in
+    preorder, each position built as its own tuple: what the scans of
+    `reduction.redexes` and `static_clashes` filter.  Surface reaches
+    everything outside bangs, full everything; CBN enters abstraction
+    bodies but no argument, CBV arguments but no abstraction body, and
+    neither enters a bang or a dereliction."""
+    stack = [((), t)]
+    while stack:
+        pos, u = stack.pop()
+        yield pos, u
+        kind = type(u)
+        if kind is App or kind is Sub:
+            if closure != CBN:
+                stack.append((pos + (1,), u.arg))
+            stack.append((pos + (0,), children(u)[0]))
+        elif ((kind is Abs and closure != CBV)
+              or (kind is Der and closure in (SURFACE, FULL))
+              or (kind is Bang and closure == FULL)):
+            stack.append((pos + (0,), children(u)[0]))
+
+
+def grammar_flags_ref(t: Term) -> tuple[bool, bool, bool]:
+    """(ne, na, nb) membership in the surface clash-free normal-form
+    grammar, by recursion on its rules (small terms only)."""
+    kind = type(t)
+    if kind is Var or kind is Idx:
+        return True, True, True
+    if kind is App:
+        ok = grammar_flags_ref(t.fun)[0] and grammar_flags_ref(t.arg)[1]
+        return ok, ok, ok
+    if kind is Der:
+        ok = grammar_flags_ref(t.inner)[0]
+        return ok, ok, ok
+    if kind is Bang:
+        return False, True, False
+    if kind is Abs:
+        _, na, nb = grammar_flags_ref(t.body)
+        return False, False, na or nb
+    if not grammar_flags_ref(t.arg)[0]:  # Sub
+        return False, False, False
+    return grammar_flags_ref(t.body)
 
 
 def subterm_at(t: Term, pos: Position) -> Term:

@@ -9,15 +9,15 @@ import pytest
 
 from banglab.cbnv import embed
 from banglab.reduction import (CBN, CBV, DB_DBANG, FULL, SBANG_ONLY, SURFACE,
-                               NfClass, Rule, apply_redex,
+                               NfClass, Rule, _clash_shapes_at, _grammar_flags,
+                               _rules, apply_redex,
                                classify, joinable, normalize, redexes,
-                               reducts, restricted_step, step, static_clashes,
-                               subterms)
+                               reducts, restricted_step, step, static_clashes)
 from banglab.syntax import (Abs, App, Bang, Der, Idx, OMEGA, Sub, Var,
                             children, enum_terms, free_vars, gen_term,
                             parse_term, print_term)
 
-from _oracles import loose_of, subterm_at, term_size
+from _oracles import grammar_flags_ref, loose_of, subterm_at, subterms, term_size
 
 p = parse_term
 CLOSURES = (SURFACE, FULL, CBN, CBV)
@@ -78,6 +78,31 @@ def test_redex_scans_survive_deep_terms():
     assert [(r.position, r.rule, r.contractum) for r in rs] == [
         ((0,) * 4999, Rule.DBANG, Var("x"))]
     assert static_clashes(t, FULL) == []
+
+
+def test_redex_scans_build_a_position_only_for_a_hit():
+    # building every position made this scan quadratic in depth: 0.84 s
+    t = Bang(Var("x"))
+    for _ in range(20_000):
+        t = Der(t)
+    start = time.perf_counter()
+    rs = redexes(t, FULL)
+    scan_s = time.perf_counter() - start
+    assert [(r.position, r.rule, r.contractum) for r in rs] == [
+        ((0,) * 19_999, Rule.DBANG, Var("x"))]
+    assert scan_s < 0.5, scan_s
+
+
+def test_scans_report_the_positions_the_oracle_walk_reaches():
+    cases = [(t, closure) for t in enum_terms(6) for closure in (SURFACE, FULL)]
+    cases += [(t, closure) for t in enum_terms(6, bang_free=True)
+              for closure in (CBN, CBV)]
+    for t, closure in cases:
+        rules = _rules(closure)
+        assert [(r.position, r.rule, r.contractum) for r in redexes(t, closure)] == [
+            (pos, *hit) for pos, u in subterms(t, closure) if (hit := rules(u))]
+        assert static_clashes(t, closure) == [
+            (pos, shape) for pos, u in subterms(t, closure) for shape in _clash_shapes_at(u)]
 
 
 def test_normalize_survives_deep_terms():
@@ -271,6 +296,12 @@ def test_classify():
     assert classify(p("(\\x.x) !y")) == NfClass.NOT_NORMAL
     assert classify(p("!x")) == NfClass.NA_S
     assert classify(p("\\x.x")) == NfClass.NB_S
+
+
+def test_grammar_flags_follow_the_grammar():
+    for t in enum_terms(6):
+        for _, u in subterms(t, FULL):
+            assert _grammar_flags(u) == grammar_flags_ref(u), print_term(t)
 
 
 def test_grammar_equivalence_exhaustive_small():

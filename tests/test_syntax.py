@@ -4,17 +4,17 @@ import hypothesis
 import hypothesis.strategies as st
 import pytest
 
-from banglab.reduction import FULL, subterms
-from banglab.syntax import (Abs, App, Bang, Der, Idx, Sub, Var,
+from banglab.reduction import FULL, NfClass, classify
+from banglab.syntax import (Abs, App, Bang, Der, HOLE, Idx, Sub, Var,
                             children, close_var, enum_terms,
                             free_vars, gen_term, lam, esub, open_var,
                             parse_context, parse_term, plug, print_term,
                             replace_at, shift_free, subst_bound,
-                            term_to_json,
+                            term_to_json, with_child,
                             ParseError, I, DELTA, OMEGA)
 
 from _oracles import (loose_of, max_free_index, msubst, open_var_ref, shift_free_ref,
-                      subst_bound_ref, term_from_json, term_size)
+                      subst_bound_ref, subterms, term_from_json, term_size)
 
 p = parse_term
 
@@ -142,6 +142,57 @@ def test_skipping_index_maps_equal_the_full_walk():
                     assert subst_bound(t, u, layers, c) == subst_bound_ref(t, u, layers, c)
 
 
+@hypothesis.given(st.integers(0, 10_000), st.integers(2, 14),
+                  st.sampled_from(("raw", "bang", "cbn-image", "cbv-image")),
+                  st.integers(0, 3), st.integers(1, 3), st.integers(0, 2))
+def test_index_maps_equal_the_full_walk_on_generated_bodies(seed, size, profile, cutoff,
+                                                            delta, layers):
+    # The bodies of abstractions and closures hold dangling indices, which
+    # the locally closed terms gen_term yields do not.
+    t = gen_term(seed, size, profile)
+    bodies = [u.body for _, u in subterms(t, FULL) if type(u) in (Abs, Sub)]
+    for b in bodies:
+        assert shift_free(b, delta, cutoff) == shift_free_ref(b, delta, cutoff)
+        assert open_var(b, "z", cutoff) == open_var_ref(b, "z", cutoff)
+        for u in (Var("z"), Idx(0), App(Idx(1), Var("y"))):
+            assert subst_bound(b, u, layers, cutoff) == subst_bound_ref(b, u, layers, cutoff)
+
+
+def test_index_maps_share_what_they_cannot_change():
+    # A copy of an unchanged node passes every equality test, so sharing is
+    # checked by identity.
+    for t in _grid():
+        for c in range(4):
+            got = shift_free(t, 1, c)
+            if t.loose <= c:
+                assert got is t
+            elif type(t) in (App, Sub):
+                # a child that holds no index the map reaches is the input's
+                depths = (c + 1 if type(t) is Sub else c, c)
+                for old, new, d in zip(children(t), children(got), depths):
+                    assert (new is old) == (old.loose <= d), (t, c)
+        assert close_var(t, "q") is t
+    t = App(Abs("a", Idx(1)), Abs("b", App(Idx(0), Var("y"))))
+    got = shift_free(t, 2)
+    assert got == App(Abs("a", Idx(3)), t.arg) and got.arg is t.arg
+
+
+def test_with_child_rebuilds_only_a_changed_child():
+    new = Var("z")
+    for t in (Abs("a", Idx(0)), App(Var("x"), Var("y")), Sub("s", Idx(0), Var("y")),
+              Bang(Var("x")), Der(Var("x"))):
+        kids = children(t)
+        for i, kid in enumerate(kids):
+            assert with_child(t, i, kid) is t
+            got = with_child(t, i, new)
+            assert type(got) is type(t) and getattr(got, "hint", None) == getattr(t, "hint", None)
+            assert children(got) == kids[:i] + (new,) + kids[i + 1:]
+            assert all(a is b for j, (a, b) in enumerate(zip(children(got), kids)) if j != i)
+    for leaf in (Var("x"), Idx(0), HOLE):
+        with pytest.raises(TypeError):
+            with_child(leaf, 0, new)
+
+
 def test_subst_bound_splices_one_copy_per_depth():
     # two occurrences of the substituted binder under one binder, two under two
     body = Abs("a", App(App(Idx(1), Idx(1)), Abs("b", App(Idx(2), Idx(2)))))
@@ -189,6 +240,20 @@ def test_index_maps_survive_deep_terms():
         assert got.loose == loose_of(got)
     # one node per level, plus the other child of each closure and application
     assert term_size(named) == 1 + DEEP + 2 * DEEP // 5
+
+
+def test_classify_survives_deep_terms():
+    chain = Var("x")  # y (y (... x)): a neutral term DEEP applications deep
+    for _ in range(DEEP):
+        chain = App(Var("y"), chain)
+    spine = Var("x")  # abstractions and closures on z in turn
+    for i in range(DEEP):
+        spine = Abs("a", spine) if i % 2 else Sub("s", spine, Var("z"))
+    # the same spine around a bang applied to a variable
+    clash = replace_at(spine, (0,) * DEEP, App(Bang(Var("x")), Var("y")))
+    assert classify(chain) == NfClass.NE_S
+    assert classify(spine) == NfClass.NB_S
+    assert classify(clash) == NfClass.CLASH_NF
 
 
 def test_free_vars_and_max_free_index_survive_deep_terms():
