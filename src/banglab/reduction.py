@@ -67,19 +67,20 @@ def contract(t: Term) -> Optional[tuple[Rule, Term]]:
     """Contract the redex rooted exactly at t, if any."""
     # Dispatch on the exact node class: `_walk` calls this at every
     # position it visits, and it runs faster than a match statement.
+    # Most children are not closures, so one is peeled only if it is.
     kind = type(t)
     if kind is App:
-        spine, core = peel_subs(t.fun)
+        spine, core = peel_subs(t.fun) if type(t.fun) is Sub else ((), t.fun)
         if type(core) is Abs:
             inner = Sub(core.hint, core.body, shift_free(t.arg, len(spine)))
             return Rule.DB, rebuild_subs(spine, inner)
     elif kind is Sub:
-        spine, core = peel_subs(t.arg)
+        spine, core = peel_subs(t.arg) if type(t.arg) is Sub else ((), t.arg)
         if type(core) is Bang:
             new = subst_bound(t.body, core.inner, len(spine))
             return Rule.SBANG, rebuild_subs(spine, new)
     elif kind is Der:
-        spine, core = peel_subs(t.inner)
+        spine, core = peel_subs(t.inner) if type(t.inner) is Sub else ((), t.inner)
         if type(core) is Bang:
             return Rule.DBANG, rebuild_subs(spine, core.inner)
     return None
@@ -99,7 +100,7 @@ def _contract_cbnv(closure: str, t: Term) -> Optional[tuple[Rule, Term]]:
     if kind is Sub:
         if closure == CBN:
             return Rule.SBANG, subst_bound(t.body, t.arg, 0)
-        spine, core = peel_subs(t.arg)
+        spine, core = peel_subs(t.arg) if type(t.arg) is Sub else ((), t.arg)
         if is_value(core):
             return Rule.SBANG, rebuild_subs(spine, subst_bound(t.body, core, len(spine)))
     return None
@@ -307,20 +308,20 @@ def restricted_step(t: Term, fragment: frozenset[Rule]) -> list[Term]:
 
 def _clash_shapes_at(t: Term) -> list[str]:
     found = []
-    kind = type(t)  # dispatch on the exact node class, as `contract` does
+    kind = type(t)  # dispatch and peel as `contract` does
     if kind is App:
-        _, fcore = peel_subs(t.fun)
+        fcore = peel_subs(t.fun)[1] if type(t.fun) is Sub else t.fun
         if type(fcore) is Bang:
             found.append("bang-applied")
-        _, acore = peel_subs(t.arg)
+        acore = peel_subs(t.arg)[1] if type(t.arg) is Sub else t.arg
         if type(acore) is Abs and type(fcore) is not Abs:
             found.append("arg-abs-under-non-abs")
     elif kind is Sub:
-        _, acore = peel_subs(t.arg)
+        acore = peel_subs(t.arg)[1] if type(t.arg) is Sub else t.arg
         if type(acore) is Abs:
             found.append("abs-substituted")
     elif kind is Der:
-        _, icore = peel_subs(t.inner)
+        icore = peel_subs(t.inner)[1] if type(t.inner) is Sub else t.inner
         if type(icore) is Abs:
             found.append("der-of-abs")
     return found

@@ -37,12 +37,13 @@ reader goes, and frees them when it ends.  No row carries a derivation,
 since carrying one in every row of the per-call tables doubled a round
 of the meaning benchmark (1.26 s against 0.62 s on a 2-core VM), and
 the first rule instance of each row would keep a premise tuple per row
-alive in the process-wide tables (67,344 rows after a transfer round):
+alive in the process-wide tables (8,534 rows after a transfer round):
 `_first_derivation` builds one for the typings a caller asks for,
 top-down over the call's tables, taking at each node the first rule
 instance that concludes the wanted typing, from one resumable scan of
-the node's rule instances per call.  `_rules` takes no goal, so tables
-and scans read the same instances in the same order.
+the node's rule instances per call.  `_rules` takes no goal, and both
+read it uncapped (see below), so tables and scans read the same
+instances in the same order.
 
 A rule that forms a multitype (the B bang, the V abstraction, a bang
 demanded at a multitype) yields its empty family before it reads a
@@ -54,11 +55,18 @@ its var axioms, built once per process and indexed by type.  The
 grid tables, the source of `grid_typing_set` and so of the transport
 and transfer checks, are the same tables less the typings that bind past
 the grid a free name or, in V, the binder of an enclosing abstraction
-(see `_pruned`), dropped as each table is built.
+(see `_pruned`), dropped as each table is built.  A table also keeps
+only the typings whose type is at most `top` deep: math.inf (uncapped)
+for every reader but `grid_typing_set`, which reads its root at the
+grid's depth.  `_rules` reads each premise the conclusion type passes
+through at the cap its rule allows, so below a capped root only the
+function and argument tables of app and es nodes, whose types the
+conclusion does not bound, are read uncapped.
 
 A binder is opened with the `%k` name `_opening` takes from its own
 term, not from where the term occurs, so the tables are keyed by system,
-term and bounds, and a subterm is typed once wherever it occurs.
+term, bounds and cap (and, for a grid table, its capped binders), and a
+subterm is typed once per cap wherever it occurs.
 """
 
 from __future__ import annotations
@@ -922,42 +930,75 @@ def _opening(t: Term) -> str:
     return f"%{max(ks, default=-1) + 1}"
 
 
-def _rules(sys: str, t: Term, bounds: Bounds, items, at
+def _rules(sys: str, t: Term, bounds: Bounds, items, at, top=math.inf
            ) -> Iterator[tuple[Env, Type, str, tuple, Optional[str]]]:
     """Every last-rule instance (env, type, rule, premises, binder) of
-    system `sys` typing t within the bounds, in one fixed order; an abs/es
-    t opens its binder with _opening(t).
+    system `sys` typing t within the bounds at a type of depth at most
+    `top` (math.inf: any depth), in one fixed order; an abs/es t opens
+    its binder with _opening(t).
 
     An item is any sequence whose first two entries are an env and a
-    type; premises are items of the immediate subterms.  `items(u)` gives
-    the items of a subterm u, and `at(u)`, for a demand-driven u, a
+    type; premises are items of the immediate subterms.  `items(u, cap)`
+    gives the items of a subterm u whose type has depth at most `cap`
+    (`items(u)`: all of them), and `at(u)`, for a demand-driven u, a
     function from a type to the items typing u exactly at it; for a
     variable, such a function or None, to read its items by type.  The
     instances are produced lazily, so a consumer that looks for one
     conclusion (`_first_derivation`) stops at the first that matches.
+
+    The cap is pushed down into every premise the conclusion type passes
+    through, so no table on that path builds a row its reader drops, as
+    magic sets push a query's bindings into bottom-up evaluation
+    (Bancilhon, Maier, Sagiv and Ullman, PODS 1986).  Every type has
+    depth at least 1, so below that nothing is read.  By rule:
+
+    - var checks each axiom's type against `top`;
+    - B/N abs concludes M -> sigma, one level deeper than the deeper of
+      the two, so the body is read at `top - 1`, and M must be shallower
+      than `top`;
+    - V abs concludes a multiset of such arrows, each one level below
+      it, so the body is read at `top - 2` and each arrow is checked
+      against `top - 1` (and the depth bound, as uncapped);
+    - es concludes its body's type: the body is read at `top`;
+    - B bang concludes the multiset of its premises' types: `top - 1`;
+    - B der concludes sigma from [sigma], one level deeper: `top + 1`;
+    - app concludes the codomain of the function's arrow, checked
+      against `top` before the argument is read.
+
+    The function of an app and the argument of an app or es are read
+    uncapped: an arrow's domain, and the binder multitype an argument is
+    matched against, can be as deep as the universe allows, whatever the
+    conclusion's depth.  A check the premise's cap implies is not made
+    again.
     """
+    if top < 1:
+        return
     card = bounds.card
     match t:
         case Var(x):
             for env, ty in _var_axioms(sys, x, bounds):
-                yield env, ty, "var", (), None
+                if ty._depth <= top:
+                    yield env, ty, "var", (), None
         case Idx():
             raise ValueError("enumeration requires a locally closed subject")
         case Abs(_, body):
             name = _opening(t)
-            sub = items(open_var(body, name))
+            opened = open_var(body, name)
             if sys == V:
                 # Fold the binder into the arrow before combining, so the
                 # card bound applies to the residual environments only.
-                arrows = ((it, Arrow(it[0].get(name), it[1])) for it in sub)
+                limit = min(bounds.depth, top - 1)
+                arrows = ((it, Arrow(it[0].get(name), it[1])) for it in items(opened, top - 2))
                 folded = ((it[0].without(name), a, it) for it, a in arrows
-                          if a._depth <= bounds.depth)
+                          if a._depth <= limit)
                 for fam in _grouped_multisets(folded, card):
                     yield (env_sum([f[0] for f in fam]), Multi(tuple(f[1] for f in fam)),
                            "abs", tuple(f[2] for f in fam), name)
             else:
-                for it in sub:
-                    yield it[0].without(name), Arrow(it[0].get(name), it[1]), "abs", (it,), name
+                for it in items(opened, top - 1):
+                    m = it[0].get(name)
+                    if m._depth < top:
+                        yield it[0].without(name), Arrow(m, it[1]), "abs", (it,), name
         case App(fun, arg):
             arg_at = _arg_premises(sys, arg, bounds, items, at)
             for f in items(fun):
@@ -967,7 +1008,7 @@ def _rules(sys: str, t: Term, bounds: Bounds, items, at
                             and isinstance(fty.elems[0], Arrow)):
                         continue
                     fty = fty.elems[0]
-                if not isinstance(fty, Arrow):
+                if not isinstance(fty, Arrow) or fty.cod._depth > top:
                     continue
                 for aenv, fam in arg_at(fty.dom):
                     env = env_sum([f[0], aenv], card)
@@ -976,7 +1017,7 @@ def _rules(sys: str, t: Term, bounds: Bounds, items, at
         case Sub(_, body, arg):
             name = _opening(t)
             arg_at = _arg_premises(sys, arg, bounds, items, at)
-            for b in items(open_var(body, name)):
+            for b in items(open_var(body, name), top):
                 rest = b[0].without(name)
                 for aenv, fam in arg_at(b[0].get(name)):
                     env = env_sum([rest, aenv], card)
@@ -984,13 +1025,13 @@ def _rules(sys: str, t: Term, bounds: Bounds, items, at
                         yield env, b[1], "es", (b, *fam), name
         case Bang(inner):
             if sys == B:
-                sub = (it for it in items(inner) if it[1]._depth < bounds.depth)
+                sub = (it for it in items(inner, top - 1) if it[1]._depth < bounds.depth)
                 for fam in _grouped_multisets(sub, card):
                     yield (env_sum([it[0] for it in fam]), Multi(tuple(it[1] for it in fam)),
                            "bang", fam, None)
         case Der(inner):
             if sys == B:
-                for it in items(inner):
+                for it in items(inner, top + 1):
                     ty = it[1]
                     if isinstance(ty, Multi) and len(ty) == 1:
                         yield it[0], ty.elems[0], "der", (it,), None
@@ -1031,9 +1072,10 @@ _TABLES: dict = {}  # the process-wide memo of _table and _envs_at
 
 
 def _table(memo: dict, sys: str, t: Term, bounds: Bounds, grid: bool = False,
-           capped: frozenset = frozenset()) -> Iterator[Pair]:
+           capped: frozenset = frozenset(), top=math.inf) -> Iterator[Pair]:
     """A reader over the distinct (env, type) typings of t within the
-    bounds, drawn lazily and memoised in `memo`: it keeps one tee iterator
+    bounds whose type has depth at most `top` (math.inf: uncapped), drawn
+    lazily and memoised in `memo`: it keeps one tee iterator
     over t's producer that never advances and hands each reader a copy,
     so every row is produced once, and kept for all readers.  A producer
     reads only the tables of strict subterms, so none re-enters itself,
@@ -1041,6 +1083,14 @@ def _table(memo: dict, sys: str, t: Term, bounds: Bounds, grid: bool = False,
     Sato, "OLD Resolution with Tabulation", ICLP 1986) is not needed.
     The full table of a variable is its var axioms, `_var_axioms`, built
     once per process, so it takes no memo entry.
+
+    A capped table is the uncapped one less its rows deeper than `top`,
+    in the same order: _rules reads each premise the conclusion type
+    passes through at the cap the rule allows it, and the function and
+    argument tables of app and es uncapped (see _rules).  Only
+    grid_typing_set reads a capped root, at `bounds.depth - 1`, since it
+    keeps nothing deeper; every other reader reads uncapped tables, so
+    their rows and order do not depend on the caps.
 
     With `grid`, the table grid_typing_set reads: only the typings whose
     env binds no name outside _is_opened, and no name in `capped`, at a
@@ -1052,9 +1102,9 @@ def _table(memo: dict, sys: str, t: Term, bounds: Bounds, grid: bool = False,
     free in the subterm.  It is empty in B and N, in the full tables and
     at every root.  Its subterms' tables are pruned too, so what is
     dropped never reaches a rule instance above it."""
-    if not grid and isinstance(t, Var):
+    if not grid and isinstance(t, Var) and top == math.inf:
         return iter(_var_axioms(sys, t.name, bounds))
-    key = (sys, t, bounds, grid, capped)
+    key = (sys, t, bounds, grid, capped, top)
     start = memo.get(key)
     if start is None:
         start = memo[key] = itertools.tee(_produce(memo, key), 1)[0]
@@ -1062,7 +1112,7 @@ def _table(memo: dict, sys: str, t: Term, bounds: Bounds, grid: bool = False,
 
 
 def _produce(memo: dict, key: tuple) -> Iterator[Pair]:
-    sys, t, bounds, grid, capped = key
+    sys, t, bounds, grid, capped, top = key
     if sys == B and untypable_certificate(t):
         return
     inherited = capped | {_opening(t)} if grid and sys == V and isinstance(t, Abs) else capped
@@ -1070,15 +1120,15 @@ def _produce(memo: dict, key: tuple) -> Iterator[Pair]:
     def capped_in(u: Term) -> frozenset:  # the part of `inherited` free in u
         return inherited & free_vars(u) if inherited else inherited
 
-    def items(u: Term) -> Iterator[Pair]:
-        return _table(memo, sys, u, bounds, grid, capped_in(u))
+    def items(u: Term, cap=math.inf) -> Iterator[Pair]:
+        return _table(memo, sys, u, bounds, grid, capped_in(u), cap)
 
     def at(u: Term):
         if grid and not _demand_driven(sys, u):
             return None  # a grid table reads a variable's grid table by type
         return _at(memo, sys, u, bounds, grid, capped_in(u))
 
-    rows = ((r[0], r[1]) for r in _rules(sys, t, bounds, items, at))
+    rows = ((r[0], r[1]) for r in _rules(sys, t, bounds, items, at, top))
     seen = set()
     try:
         for row in _pruned(rows, bounds, capped) if grid else rows:
@@ -1125,10 +1175,12 @@ def _at(memo: dict, sys: str, u: Term, bounds: Bounds, grid: bool,
     return lambda want: _envs_at(memo, sys, u, want, bounds, grid, capped)
 
 
-def _pairs(sys: str, t: Term, bounds: Bounds, grid: bool = False) -> tuple[Pair, ...]:
-    """All (env, type) typings of t within the bounds (deduplicated): its
-    process-wide table (see _table), read to its end."""
-    return tuple(_table(_TABLES, sys, t, bounds, grid))
+def _pairs(sys: str, t: Term, bounds: Bounds, grid: bool = False, top=math.inf
+           ) -> tuple[Pair, ...]:
+    """All (env, type) typings of t within the bounds (deduplicated) at a
+    type of depth at most `top`: its process-wide table (see _table), read
+    to its end."""
+    return tuple(_table(_TABLES, sys, t, bounds, grid, top=top))
 
 
 def _pruned(rows: Iterator[Pair], bounds: Bounds, capped: frozenset) -> Iterator[Pair]:
@@ -1194,9 +1246,16 @@ def on_grid(pair: Pair, limit: int) -> bool:
 def grid_typing_set(sys: str, t: Term, bounds: Bounds = Bounds()) -> frozenset[Pair]:
     """The canonical typings of t on the grid below the depth bound, read
     from the grid tables (`_pairs` with `grid`), which drop while they
-    are built what cannot reach the grid."""
+    are built what cannot reach the grid: the root's table is capped at
+    the grid's depth, and _rules pushes the cap down into every premise
+    the conclusion type passes through, by the depth each rule adds or
+    removes (see _rules).  The function and argument tables of app and
+    es stay uncapped, since an arrow's domain and a binder's multitype
+    may lie past the grid under an on-grid conclusion.  on_grid still
+    checks the env, since a `%k` name free at the root is never pruned."""
+    limit = bounds.depth - 1
     return frozenset(canon_typing(p)
-                     for p in _pairs(sys, t, bounds, True) if on_grid(p, bounds.depth - 1))
+                     for p in _pairs(sys, t, bounds, True, limit) if on_grid(p, limit))
 
 
 @lru_cache(maxsize=None)
@@ -1279,8 +1338,8 @@ def _first_derivation(memo: dict, sys: str, item: tuple, bounds: Bounds) -> Deri
     key = (u, ty) if demanded else u  # no table key is a term or a pair
     scan = memo.get(key)
     if scan is None:
-        def items(v: Term) -> Iterator[tuple]:
-            return ((e, vt, v, False) for e, vt in _table(memo, sys, v, bounds))
+        def items(v: Term, cap=math.inf) -> Iterator[tuple]:
+            return ((e, vt, v, False) for e, vt in _table(memo, sys, v, bounds, top=cap))
 
         def at(v: Term):
             demand, typed = _demand_driven(sys, v), _at(memo, sys, v, bounds, False)

@@ -1,6 +1,7 @@
 import copy
 import hashlib
 import itertools
+import math
 import pickle
 
 import hypothesis
@@ -8,6 +9,8 @@ import hypothesis.strategies as st
 import pytest
 
 from banglab import reduction, typesys
+from banglab.cbnv import embed
+from banglab.reduction import CBN, CBV
 from banglab.syntax import Abs, App, Bang, Idx, Var, enum_terms, gen_term, parse_term
 from banglab.typesys import (Arrow, B, Bounds, Derivation, EMPTY_ENV,
                              EMPTY_MULTI, Env, Judgment, Multi, N, TVar, V,
@@ -235,7 +238,7 @@ def _v_grid_rows(root, sub):
     memo = {}
     list(_table(memo, V, p(root), Bounds(), True))
     return [list(rows.__copy__()) for key, rows in memo.items()
-            if len(key) == 5 and key[1] == p(sub)]
+            if len(key) == 6 and key[1] == p(sub) and key[2] == Bounds()]
 
 
 def test_v_grid_table_caps_abstraction_binders_only():
@@ -255,6 +258,39 @@ def test_grid_table_matches_the_full_table(seed, size, profile):
     t = gen_term(seed, size, profile)
     for sys in (B, N, V):
         _assert_grid_table_exact(sys, t)
+
+
+def test_capped_grid_tables_are_the_grid_tables_cut_at_the_cap():
+    # A grid table capped at `top` holds the rows of the uncapped one
+    # whose type is at most `top` deep, in the same order, at every cap
+    # from none to past the depth bound; grid_typing_set reads the grid
+    # off the capped root.  The terms are those of the transfer checks
+    # (N, V and the B images of the bang-free terms) and all of B's.
+    bounds = Bounds()
+    limit = bounds.depth - 1
+    cases = [case for t in enum_terms(5, bang_free=True)
+             for case in ((N, t), (V, t), (B, embed(CBN, t)), (B, embed(CBV, t)))]
+    for sys, t in cases + [(B, t) for t in enum_terms(4)]:
+        full = _pairs(sys, t, bounds, True)
+        for top in range(bounds.depth + 2):
+            assert _pairs(sys, t, bounds, True, top) == tuple(
+                q for q in full if q[1]._depth <= top), (sys, t, top)
+        assert grid_typing_set(sys, t, bounds) == frozenset(
+            canon_typing(q) for q in full if on_grid(q, limit)), (sys, t)
+
+
+@pytest.mark.parametrize("sys", [B, N])
+def test_a_capped_table_reads_its_body_capped(sys):
+    # An abstraction of an abstraction is typed at depth 3 at least, so
+    # its table capped at 2 is empty, and the cap pushed into its body
+    # must keep every table it builds empty as well.  Uncapped, the grid
+    # tables of the root, the inner abstraction and its body hold 150
+    # rows each in B and N, and those of %0 and %1 288.
+    memo = {}
+    t, inner = p("\\x.\\x1. x x1"), p("\\x1. %0 x1")
+    assert list(_table(memo, sys, t, Bounds(), True, top=2)) == []
+    assert memo and not any(list(copy.copy(rows)) for rows in memo.values())
+    assert not any(key[1] == inner and key[-1] == math.inf for key in memo)
 
 
 def test_args():
