@@ -53,20 +53,19 @@ table reads a premise only when a non-empty multitype asks for it:
 `|- !t : []` comes at once, whatever t is.  A variable's full table is
 its var axioms, built once per process and indexed by type.  The
 grid tables, the source of `grid_typing_set` and so of the transport
-and transfer checks, are the same tables less the typings that bind past
-the grid a free name or, in V, the binder of an enclosing abstraction
-(see `_pruned`), dropped as each table is built.  A table also keeps
-only the typings whose type is at most `top` deep: math.inf (uncapped)
-for every reader but `grid_typing_set`, which reads its root at the
-grid's depth.  `_rules` reads each premise the conclusion type passes
-through at the cap its rule allows, so below a capped root only the
-function and argument tables of app and es nodes, whose types the
-conclusion does not bound, are read uncapped.
+and transfer checks, are the same tables less the typings that bind a
+free name past the grid (see `_pruned`), dropped as each table is
+built.  A table also keeps only the typings whose type is at most `top`
+deep: math.inf (uncapped) for every reader but `grid_typing_set`, which
+reads its root at the grid's depth.  `_rules` reads each premise the
+conclusion type passes through at the cap its rule allows, so below a
+capped root only the function and argument tables of app and es nodes,
+whose types the conclusion does not bound, are read uncapped.
 
 A binder is opened with the `%k` name `_opening` takes from its own
 term, not from where the term occurs, so the tables are keyed by system,
-term, bounds and cap (and, for a grid table, its capped binders), and a
-subterm is typed once per cap wherever it occurs.
+term, bounds and cap, and a subterm is typed once per cap wherever it
+occurs.
 """
 
 from __future__ import annotations
@@ -949,8 +948,8 @@ def _rules(sys: str, t: Term, bounds: Bounds, items, at, top=math.inf
     The cap is pushed down into every premise the conclusion type passes
     through, so no table on that path builds a row its reader drops, as
     magic sets push a query's bindings into bottom-up evaluation
-    (Bancilhon, Maier, Sagiv and Ullman, PODS 1986).  Every type has
-    depth at least 1, so below that nothing is read.  By rule:
+    (Bancilhon, Maier, Sagiv and Ullman, PODS 1986); _table reads
+    nothing below 1, the least depth of a type.  By rule:
 
     - var checks each axiom's type against `top`;
     - B/N abs concludes M -> sigma, one level deeper than the deeper of
@@ -971,8 +970,6 @@ def _rules(sys: str, t: Term, bounds: Bounds, items, at, top=math.inf
     conclusion's depth.  A check the premise's cap implies is not made
     again.
     """
-    if top < 1:
-        return
     card = bounds.card
     match t:
         case Var(x):
@@ -1072,7 +1069,7 @@ _TABLES: dict = {}  # the process-wide memo of _table and _envs_at
 
 
 def _table(memo: dict, sys: str, t: Term, bounds: Bounds, grid: bool = False,
-           capped: frozenset = frozenset(), top=math.inf) -> Iterator[Pair]:
+           top=math.inf) -> Iterator[Pair]:
     """A reader over the distinct (env, type) typings of t within the
     bounds whose type has depth at most `top` (math.inf: uncapped), drawn
     lazily and memoised in `memo`: it keeps one tee iterator
@@ -1082,7 +1079,8 @@ def _table(memo: dict, sys: str, t: Term, bounds: Bounds, grid: bool = False,
     and the completion step of general tabled resolution (Tamaki and
     Sato, "OLD Resolution with Tabulation", ICLP 1986) is not needed.
     The full table of a variable is its var axioms, `_var_axioms`, built
-    once per process, so it takes no memo entry.
+    once per process, so it takes no memo entry, and a table capped below
+    1, the least depth of a type, is empty and takes none either.
 
     A capped table is the uncapped one less its rows deeper than `top`,
     in the same order: _rules reads each premise the conclusion type
@@ -1093,18 +1091,14 @@ def _table(memo: dict, sys: str, t: Term, bounds: Bounds, grid: bool = False,
     their rows and order do not depend on the caps.
 
     With `grid`, the table grid_typing_set reads: only the typings whose
-    env binds no name outside _is_opened, and no name in `capped`, at a
-    multitype deeper than `bounds.depth - 1` (see _pruned).  `capped`
-    holds the binder names of the enclosing V abstractions that are free
-    in t: a V abs node adds the name it opens its binder with to the set
-    it hands its body, and each node cuts the set it hands a subterm to
-    the subterm's free names, since _opening may reuse a name that is not
-    free in the subterm.  It is empty in B and N, in the full tables and
-    at every root.  Its subterms' tables are pruned too, so what is
-    dropped never reaches a rule instance above it."""
+    env binds no name outside _is_opened at a multitype deeper than
+    `bounds.depth - 1` (see _pruned).  Its subterms' tables are pruned
+    too, so what is dropped never reaches a rule instance above it."""
+    if top < 1:
+        return iter(())
     if not grid and isinstance(t, Var) and top == math.inf:
         return iter(_var_axioms(sys, t.name, bounds))
-    key = (sys, t, bounds, grid, capped, top)
+    key = (sys, t, bounds, grid, top)
     start = memo.get(key)
     if start is None:
         start = memo[key] = itertools.tee(_produce(memo, key), 1)[0]
@@ -1112,26 +1106,22 @@ def _table(memo: dict, sys: str, t: Term, bounds: Bounds, grid: bool = False,
 
 
 def _produce(memo: dict, key: tuple) -> Iterator[Pair]:
-    sys, t, bounds, grid, capped, top = key
+    sys, t, bounds, grid, top = key
     if sys == B and untypable_certificate(t):
         return
-    inherited = capped | {_opening(t)} if grid and sys == V and isinstance(t, Abs) else capped
-
-    def capped_in(u: Term) -> frozenset:  # the part of `inherited` free in u
-        return inherited & free_vars(u) if inherited else inherited
 
     def items(u: Term, cap=math.inf) -> Iterator[Pair]:
-        return _table(memo, sys, u, bounds, grid, capped_in(u), cap)
+        return _table(memo, sys, u, bounds, grid, cap)
 
     def at(u: Term):
         if grid and not _demand_driven(sys, u):
             return None  # a grid table reads a variable's grid table by type
-        return _at(memo, sys, u, bounds, grid, capped_in(u))
+        return _at(memo, sys, u, bounds, grid)
 
     rows = ((r[0], r[1]) for r in _rules(sys, t, bounds, items, at, top))
     seen = set()
     try:
-        for row in _pruned(rows, bounds, capped) if grid else rows:
+        for row in _pruned(rows, bounds) if grid else rows:
             if row not in seen:
                 seen.add(row)
                 yield row
@@ -1145,34 +1135,34 @@ def _produce(memo: dict, key: tuple) -> Iterator[Pair]:
         raise
 
 
-def _envs_at(memo: dict, sys: str, t: Term, want: Type, bounds: Bounds, grid: bool,
-             capped: frozenset = frozenset()) -> tuple[Pair, ...]:
+def _envs_at(memo: dict, sys: str, t: Term, want: Type, bounds: Bounds, grid: bool
+             ) -> tuple[Pair, ...]:
     """The (env, want) typings of t, deduplicated and memoised in `memo`
     whole, as each reader reads them: from _rules_at for a demand-driven
     t, else filtered from its table; with `grid`, from the pruned tables,
     and pruned as they are."""
-    key = (sys, t, want, bounds, grid, capped)
+    key = (sys, t, want, bounds, grid)
     rows = memo.get(key)
     if rows is None:
         if _demand_driven(sys, t):
             inner = _at(memo, sys, t.inner, bounds, grid) if sys == B else None
             found = ((r[0], r[1]) for r in _rules_at(sys, t, want, bounds, inner))
-            rows = tuple(dict.fromkeys(_pruned(found, bounds, capped) if grid else found))
+            rows = tuple(dict.fromkeys(_pruned(found, bounds) if grid else found))
         else:
-            rows = tuple(p for p in _table(memo, sys, t, bounds, grid, capped) if p[1] == want)
+            rows = tuple(p for p in _table(memo, sys, t, bounds, grid) if p[1] == want)
         memo[key] = rows
     return rows
 
 
-def _at(memo: dict, sys: str, u: Term, bounds: Bounds, grid: bool,
-        capped: frozenset = frozenset()) -> Callable[[Type], Sequence[Pair]]:
+def _at(memo: dict, sys: str, u: Term, bounds: Bounds, grid: bool
+        ) -> Callable[[Type], Sequence[Pair]]:
     """A function from a type to the (env, type) typings of u at it: in
     the full tables, one probe of `_var_axioms_at` for a variable that is
     not demand-driven, which takes no memo entry; else `_envs_at`."""
     if not grid and isinstance(u, Var) and not _demand_driven(sys, u):
         rows = _var_axioms_at(sys, u.name, bounds)
         return lambda want: rows.get(want, ())
-    return lambda want: _envs_at(memo, sys, u, want, bounds, grid, capped)
+    return lambda want: _envs_at(memo, sys, u, want, bounds, grid)
 
 
 def _pairs(sys: str, t: Term, bounds: Bounds, grid: bool = False, top=math.inf
@@ -1183,16 +1173,15 @@ def _pairs(sys: str, t: Term, bounds: Bounds, grid: bool = False, top=math.inf
     return tuple(_table(_TABLES, sys, t, bounds, grid, top=top))
 
 
-def _pruned(rows: Iterator[Pair], bounds: Bounds, capped: frozenset) -> Iterator[Pair]:
-    """The rows whose env binds every name outside _is_opened, and every
-    name in `capped` (see _table), at depth at most `bounds.depth - 1`.
-    This is exact: the grid table of a root is its full table less the
-    rows dropped here, and on_grid keeps the same typings of either.
+def _pruned(rows: Iterator[Pair], bounds: Bounds) -> Iterator[Pair]:
+    """The rows whose env binds every name outside _is_opened at depth at
+    most `bounds.depth - 1`.  This is exact: the grid table of a root is
+    its full table less the rows dropped here, and on_grid keeps the same
+    typings of either.
 
     - every rule builds its conclusion's env as a sum of premise envs,
       less the binder of an abs/es node;
-    - that binder is always a name _opening makes, one this test keeps
-      unless it is capped;
+    - that binder is always a name _opening makes, one this test keeps;
     - env_sum only grows bindings and drops the empty ones;
     - so the binding of any other name in a premise is a sub-multiset of
       its binding in every conclusion above it, and no shallower.
@@ -1201,29 +1190,10 @@ def _pruned(rows: Iterator[Pair], bounds: Bounds, capped: frozenset) -> Iterator
     premise of a kept row is kept.  The types of subterms cannot be
     pruned this way, since app and es drop the argument's multitype.  A
     free name of the root that has a binder's form is kept as well,
-    which only prunes less.
-
-    A capped name is the binder of an enclosing V abstraction, and a row
-    that binds it deeper than `bounds.depth - 1` lies under no typing
-    that abstraction concludes:
-
-    - bindings only grow up to their binder, by the argument above;
-    - a multiset is at least as deep as any sub-multiset, so the binding
-      in the abstraction's premise is that deep too;
-    - the V abs rule makes that binding the domain of an arrow, one level
-      deeper, and drops every arrow deeper than `bounds.depth`;
-    - _opening never opens a binder with a name that is free in its own
-      term, so no abs/es node between the row and the abstraction
-      removes the name, and the premise the row reaches is the one the
-      abstraction opened with it.
-
-    An es binder's binding is matched against the argument's type, which
-    may be as deep as the universe allows, so es binders are never
-    capped; B and N have no depth check in their abs rule, so they cap
-    nothing."""
+    which only prunes less."""
     limit = bounds.depth - 1
     for env, ty in rows:
-        if all(m._depth <= limit or (_is_opened(n) and n not in capped) for n, m in env.items):
+        if all(m._depth <= limit or _is_opened(n) for n, m in env.items):
             yield env, ty
 
 

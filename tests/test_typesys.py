@@ -223,7 +223,8 @@ def _assert_grid_table_exact(sys, t, bounds=Bounds()):
     "\\x. %0 x", "%0 (\\x. x x)", "%0 %1 y", "\\x. y (x %0)",
     # deep bindings of es binders: matched against the argument, never capped
     "(x y)[x<-\\z.z]", "(x x)[x<-\\z.z]", "((\\x. y x)[y<-\\z.z]) w",
-    # deep bindings of abstraction binders: capped in V where they are born
+    # deep bindings of abstraction binders: in V, past the depth cap of the
+    # arrows they make
     "\\y.\\x. y x", "(\\y.\\x. y x) (\\z.z)",
     # an es binder opened with the name of an enclosing abstraction's binder
     "(\\w. (x y)[x<-\\z.z]) (\\z.z)"])
@@ -238,13 +239,16 @@ def _v_grid_rows(root, sub):
     memo = {}
     list(_table(memo, V, p(root), Bounds(), True))
     return [list(rows.__copy__()) for key, rows in memo.items()
-            if len(key) == 6 and key[1] == p(sub) and key[2] == Bounds()]
+            if key[1] == p(sub) and key[2] == Bounds()]
 
 
 def test_v_grid_table_caps_abstraction_binders_only():
-    # Under \y. every typing of the body binding %0 (y) gives an arrow
-    # deeper than the bound, so the body's table keeps its empty family.
-    assert _v_grid_rows("\\y.\\x. y x", "\\x. %0 x") == [[(EMPTY_ENV, EMPTY_MULTI)]]
+    # Capped at 2, the V abstraction \y. reads its body at 0, below every
+    # type: it keeps only its empty family and builds no table of the body.
+    memo = {}
+    rows = list(_table(memo, V, p("\\y.\\x. y x"), Bounds(), True, top=2))
+    assert rows == [(EMPTY_ENV, EMPTY_MULTI)]
+    assert not any(key[1] == p("\\x. %0 x") for key in memo)
     # Under an es binder the same body keeps its deep rows: the argument
     # is typed at whatever multitype the binder is bound to.
     [rows] = _v_grid_rows("(\\x. y x)[y<-\\z.z]", "\\x. %0 x")
@@ -291,6 +295,8 @@ def test_a_capped_table_reads_its_body_capped(sys):
     assert list(_table(memo, sys, t, Bounds(), True, top=2)) == []
     assert memo and not any(list(copy.copy(rows)) for rows in memo.values())
     assert not any(key[1] == inner and key[-1] == math.inf for key in memo)
+    # a table capped below 1, the least depth of a type, is not built
+    assert not any(key[2] == Bounds() and key[-1] < 1 for key in memo)
 
 
 def test_args():
