@@ -3,10 +3,19 @@
 A term is meaningful when some testing context (hole in function
 position, possibly under applied abstractions) sends it to a bang by
 surface reduction.  The checker decides this logically: surface
-normalize, classify, then hunt for a typing of the normal form whose
+normalize, classify, then look for a typing of the normal form whose
 environment and argument multitypes are inhabited; from such a typing
 and its witnesses a concrete testing context is synthesized and
 replayed before the verdict is issued.
+
+The typing tried first is the canonical one, read off the derivation
+`typesys.canonical_nf_derivation` builds by structural recursion on the
+normal form, with no depth bound.  Any testable typing will do: by the
+characterization (a term is meaningful iff its normal form has a
+testable typing), a testable typing induces a testing context that
+sends the term to a bang, so its replay succeeds.  Only when the
+canonical typing is not testable does the checker fall back to the
+bounded enumeration of typings (`meaningful_by_enumeration`).
 
 Negative verdicts are only produced from a clash normal form or from a
 typing-shape conflict forcing an uninhabitable multitype in every
@@ -27,12 +36,13 @@ from .syntax import (Abs, App, AppFun, AbsBody, Bang, Ctx, TESTING, Term,
                      Var, free_vars, fresh_name, open_var, parse_term, plug,
                      print_term)
 from .typesys import (Arrow, B, Bounds, Derivation, Env, Type,
-                      canon_typing, observable, typings_enumerate)
+                      canon_typing, canonical_nf_derivation, observable,
+                      typings_enumerate)
 
 MEANINGFUL, MEANINGLESS, UNKNOWN = "meaningful", "meaningless", "unknown"
 
 
-MAX_TYPINGS = 2000  # distinct typings of a normal form that meaningful tries
+MAX_TYPINGS = 2000  # distinct typings of a normal form the fallback tries
 
 
 @dataclass(frozen=True)
@@ -144,7 +154,25 @@ def replay(ctx: Ctx, t: Term, fuel: int) -> Optional[tuple[Term, int]]:
 # The main verdict pipeline
 
 
+class ReplayFailure(RuntimeError):
+    """A testable typing whose testing context did not send the term to a
+    bang: an internal invariant of the checker failed."""
+
+    def __init__(self, term: Term, context: Ctx):
+        super().__init__(
+            f"testable typing failed to replay: {print_term(term)} in {context}")
+        self.term = term
+        self.context = context
+
+
 def meaningful(t: Term, budgets: Budgets = Budgets()) -> MeaningVerdict:
+    """The verdict on t.  A divergent term stays unknown, a clash normal
+    form or a forced-shape certificate is meaningless.  Otherwise the
+    canonical typing of the normal form (canonical_nf_derivation) is
+    tried first: any testable typing of the normal form makes t
+    meaningful, by the characterization, so the context it induces
+    replays.  Only when that typing is not testable does the bounded
+    enumeration (meaningful_by_enumeration) look for another."""
     out = normalize(t, reduction.SURFACE, budgets.fuel)
     if not out.normalized:
         return MeaningVerdict(UNKNOWN, reason="divergence-suspected: fuel exhausted",
@@ -158,6 +186,18 @@ def meaningful(t: Term, budgets: Budgets = Budgets()) -> MeaningVerdict:
     if cert is not None:
         return MeaningVerdict(MEANINGLESS, reason=cert, normal_form=nf)
 
+    derivation = canonical_nf_derivation(nf)
+    typing = derivation.conclusion.typing
+    ta = testable(B, typing, budgets.type_bounds)
+    if ta.verdict == "yes":
+        return _replayed(t, nf, typing, ta, derivation, budgets)
+    return meaningful_by_enumeration(t, nf, budgets)
+
+
+def meaningful_by_enumeration(t: Term, nf: Term, budgets: Budgets) -> MeaningVerdict:
+    """Meaningful or unknown for t, whose clash-free surface normal form
+    is nf, from the first testable typing among at most MAX_TYPINGS
+    distinct typings of nf within the type bounds."""
     seen = set()
     for typing, derivation in typings_enumerate(B, nf, budgets.type_bounds):
         pair = canon_typing(typing)
@@ -167,19 +207,24 @@ def meaningful(t: Term, budgets: Budgets = Budgets()) -> MeaningVerdict:
         if len(seen) > MAX_TYPINGS:
             break
         ta = testable(B, typing, budgets.type_bounds)
-        if ta.verdict != "yes":
-            continue
-        ctx = build_testing_context(typing, ta)
-        hit = replay(ctx, t, budgets.fuel * 4 + 400)
-        if hit is None:
-            raise RuntimeError(
-                f"testable typing failed to replay: {print_term(t)} in {ctx}")
-        return MeaningVerdict(
-            MEANINGFUL, reason="testable typing of the normal form",
-            evidence=Evidence(ctx, typing, derivation(), hit[0], hit[1]),
-            normal_form=nf)
+        if ta.verdict == "yes":
+            return _replayed(t, nf, typing, ta, derivation(), budgets)
     return MeaningVerdict(UNKNOWN, reason="no testable typing within bounds",
                           normal_form=nf)
+
+
+def _replayed(t: Term, nf: Term, typing: tuple[Env, Type], ta: Testability,
+              derivation: Derivation, budgets: Budgets) -> MeaningVerdict:
+    """The meaningful verdict a testable typing of nf supports, once its
+    testing context has been replayed on t."""
+    ctx = build_testing_context(typing, ta)
+    hit = replay(ctx, t, budgets.fuel * 4 + 400)
+    if hit is None:
+        raise ReplayFailure(t, ctx)
+    return MeaningVerdict(
+        MEANINGFUL, reason="testable typing of the normal form",
+        evidence=Evidence(ctx, typing, derivation, hit[0], hit[1]),
+        normal_form=nf)
 
 
 # ---------------------------------------------------------------------------

@@ -4,17 +4,19 @@ import types
 
 import pytest
 
-from banglab import reduction, typesys
+from banglab import meaning, reduction, typesys
 from banglab.inhabitation import testable as is_testable
-from banglab.meaning import (Budgets, build_testing_context, discriminate,
-                             genericity_check, meaningful,
+from banglab.meaning import (Budgets, ReplayFailure, build_testing_context,
+                             discriminate, genericity_check, meaningful,
+                             meaningful_by_enumeration,
                              meaningless_certificate, replay,
                              search_testing_context)
 from banglab.meaning import testing_contexts as enum_testing_contexts
-from banglab.syntax import (Abs, App, Bang, OMEGA, Var, gen_term,
+from banglab.syntax import (Abs, App, Bang, OMEGA, Var, enum_terms, gen_term,
                             parse_context, parse_term, plug, print_term)
 from banglab.typesys import (Arrow, B, EMPTY_ENV, EMPTY_MULTI, Env, TVar,
-                             multi, typings_enumerate)
+                             canonical_nf_derivation, check_derivation, multi,
+                             typings_enumerate)
 
 p = parse_term
 BUD = Budgets(fuel=150)
@@ -36,8 +38,8 @@ def test_corpus_verdicts():
 # sha256 of meaningful()'s status, reason and evidence (context frames,
 # typing, derivation) at the default budgets, for gen_term seeds 0-3,
 # sizes 3-12 and the four profiles, in that order.  It pins the verdicts
-# and witnesses: 123 meaningful, 26 meaningless, 11 unknown.
-VERDICTS_DIGEST = "4a87684fdfe2b3247aebd0026c8520a075db0c4e9ba869ad829373078abf3a27"
+# and witnesses: 128 meaningful, 26 meaningless, 6 unknown.
+VERDICTS_DIGEST = "75dd4c9026aba4fad27948740bc0b8660e72fa3e3a4a8a44f335fbf3961e176a"
 
 
 def test_verdicts_and_evidence_are_pinned():
@@ -118,9 +120,16 @@ def _suspended_rule_streams() -> int:
                and o.gi_code is typesys._rules.__code__ and o.gi_frame is not None)
 
 
-def test_a_closed_stream_frees_its_tables():
+def test_a_closed_stream_frees_its_tables(monkeypatch):
     # the tables of one typings_enumerate call refer back to each other, so
     # they must be freed when the stream ends, not by the cycle collector
+    fallbacks = []
+
+    def counted(*args):
+        fallbacks.append(args[0])
+        return meaningful_by_enumeration(*args)
+
+    monkeypatch.setattr(meaning, "meaningful_by_enumeration", counted)
     meaningful(p("\\x. x !x"), BUD)
     gc.disable()
     try:
@@ -128,10 +137,46 @@ def test_a_closed_stream_frees_its_tables():
         stream = typings_enumerate(B, p("\\x. x (x !y)"))
         next(stream)
         stream.close()
-        assert meaningful(p("y !(\\z. z !z) !y"), BUD).meaningful
+        # the canonical typing of x[x1<-der x] is not testable, so the
+        # verdict comes from a typing stream left before its end
+        probe = p("x[x1<-der x]")
+        assert meaningful(probe, BUD).meaningful
+        assert fallbacks == [probe]
         assert _suspended_rule_streams() <= before
     finally:
         gc.enable()
+
+
+def test_the_two_routes_agree_on_small_terms():
+    # the canonical route only turns an enumeration unknown into a
+    # meaningful verdict, and its evidence checks and replays
+    budgets = Budgets(fuel=120)
+    canonical = 0
+    for t in enum_terms(4):
+        v = meaningful(t, budgets)
+        if v.status == "meaningless" or "divergence" in v.reason:
+            continue  # decided before either route is taken
+        by_enumeration = meaningful_by_enumeration(t, v.normal_form, budgets)
+        if by_enumeration.status != "unknown":
+            assert v.status == by_enumeration.status, print_term(t)
+        d = canonical_nf_derivation(v.normal_form)
+        if is_testable(B, d.conclusion.typing, budgets.type_bounds).verdict == "yes":
+            canonical += 1
+            assert v.evidence.derivation == d, print_term(t)
+            assert check_derivation(d) is None, print_term(t)
+            hit = replay(v.evidence.context, t, 500)
+            assert hit is not None and isinstance(hit[0], Bang), print_term(t)
+    assert canonical > 0
+
+
+def test_a_failed_replay_names_the_term_and_context(monkeypatch):
+    monkeypatch.setattr(meaning, "replay", lambda ctx, t, fuel: None)
+    with pytest.raises(ReplayFailure) as err:
+        meaningful(p("\\z.z"), BUD)
+    assert isinstance(err.value, RuntimeError)
+    assert err.value.term == p("\\z.z")
+    assert str(err.value.context) == "[] !!(\\z. z)"
+    assert "\\z. z" in str(err.value)
 
 
 def test_testability_propagates_from_root():
