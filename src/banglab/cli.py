@@ -2,8 +2,9 @@
 
 Subcommands cover parsing, reduction, classification, measures, typing,
 inhabitation, meaningfulness, the call-by-name/value embeddings, and
-the seeded property suites.  Exit codes: 0 success, 1 property failure,
-2 usage error, 141 when the reader of standard output goes away early.
+the seeded property suites.  Exit codes: 0 success, 1 property failure
+or a testing context that fails to replay, 2 usage error, 141 when the
+reader of standard output goes away early.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import sys
 
 from . import cbnv, measures, reduction, suites, typesys
 from .inhabitation import inhabit, testable
-from .meaning import Budgets, meaningful
+from .meaning import Budgets, ReplayFailure, meaningful
 from .syntax import (free_vars, parse_term, print_term, term_to_json,
                      ParseError)
 from .typesys import Bounds, parse_type
@@ -329,6 +330,9 @@ def main(argv=None) -> int:
         # the output, so that the flush at exit does not fail again.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141
+    except ReplayFailure as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 1
     except (ParseError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

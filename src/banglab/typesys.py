@@ -37,7 +37,7 @@ reader goes, and frees them when it ends.  No row carries a derivation,
 since carrying one in every row of the per-call tables doubled a round
 of the meaning benchmark (1.26 s against 0.62 s on a 2-core VM), and
 the first rule instance of each row would keep a premise tuple per row
-alive in the process-wide tables (8,534 rows after a transfer round):
+alive in the process-wide tables (7,497 rows after a transfer round):
 `_first_derivation` builds one for the typings a caller asks for,
 top-down over the call's tables, taking at each node the first rule
 instance that concludes the wanted typing, from one resumable scan of
@@ -50,14 +50,15 @@ demanded at a multitype) yields its empty family before it reads a
 premise, and an app or es node reads its argument's table by type (see
 `_lookup`), only as far as the types it asks for, so a lazily drawn
 table reads a premise only when a non-empty multitype asks for it:
-`|- !t : []` comes at once, whatever t is.  A variable's full table is
-its var axioms, built once per process and indexed by type.  The
-grid tables, the source of `grid_typing_set` and so of the transport
-and transfer checks, are the same tables less the typings that bind a
-free name past the grid (see `_pruned`), dropped as each table is
-built.  A table also keeps only the typings whose type is at most `top`
-deep: math.inf (uncapped) for every reader but `grid_typing_set`, which
-reads its root at the grid's depth.  `_rules` reads each premise the
+`|- !t : []` comes at once, whatever t is.  A variable's table is its
+var axioms, built once per process and indexed by type.  The grid
+tables, the source of `grid_typing_set` and so of the transport and
+transfer checks, differ from the full tables only there: a free name
+other than a binder's takes no axiom past the grid (see
+`_on_grid_binding`).
+A table also keeps only the typings whose type is at most `top` deep:
+math.inf (uncapped) for every reader but `grid_typing_set`, which reads
+its root at the grid's depth.  `_rules` reads each premise the
 conclusion type passes through at the cap its rule allows, so below a
 capped root only the function and argument tables of app and es nodes,
 whose types the conclusion does not bound, are read uncapped.
@@ -247,7 +248,10 @@ def rename_tvars(t: Type, mapping: dict[str, str]) -> Type:
 
 def parse_type(src: str) -> Type:
     toks = _type_tokens(src)
-    ty, pos = _parse_arrow(toks, 0)
+    try:
+        ty, pos = _parse_arrow(toks, 0)
+    except RecursionError:
+        raise ValueError("type nested too deeply") from None
     if toks[pos][0] != "eof":
         raise ValueError(f"trailing input in type: {src!r}")
     return ty
@@ -768,21 +772,38 @@ def _value_var_multis(bounds: Bounds) -> tuple[Multi, ...]:
 
 
 @lru_cache(maxsize=None)
-def _var_axioms(sys: str, x: str, bounds: Bounds) -> tuple[Pair, ...]:
+def _var_axioms(sys: str, x: str, bounds: Bounds, grid: bool, top) -> tuple[Pair, ...]:
     """The conclusions (env, type) of the var axioms for x, built once per
     variable and bounds: x : [ty] |- x : ty in B and N, for ty in
-    type_universe order, and x : M |- x : M in V."""
+    type_universe order, and x : M |- x : M in V.  Filtered from those,
+    in order: only the types at most `top` deep (math.inf: any depth)
+    and, with `grid`, the bindings _on_grid_binding allows."""
+    if grid or top < math.inf:
+        return tuple(p for p in _var_axioms(sys, x, bounds, False, math.inf)
+                     if p[1]._depth <= top
+                     and (not grid or _on_grid_binding(x, p[0].get(x), bounds)))
     if sys == V:
         return tuple((Env(((x, m),)), m) for m in _value_var_multis(bounds))
     return tuple((Env(((x, multi(ty)),)), ty) for ty in type_universe(bounds))
 
 
 @lru_cache(maxsize=None)
-def _var_axioms_at(sys: str, x: str, bounds: Bounds) -> dict[Type, tuple[Pair]]:
-    """_var_axioms(sys, x, bounds) by type, each type's one row: the
-    typed lookup of a variable in the full tables (see _at), built once
-    per variable and bounds."""
-    return {p[1]: (p,) for p in _var_axioms(sys, x, bounds)}
+def _var_axioms_at(sys: str, x: str, bounds: Bounds, grid: bool) -> dict[Type, tuple[Pair]]:
+    """_var_axioms(sys, x, bounds, grid) by type, each type's one row: the
+    typed lookup of a variable (see _at), built once per variable, bounds
+    and scope."""
+    return {p[1]: (p,) for p in _var_axioms(sys, x, bounds, grid, math.inf)}
+
+
+def _on_grid_binding(name: str, m: Multi, bounds: Bounds) -> bool:
+    """Whether a var axiom of a grid table may bind name to m: a binder
+    name (see _is_opened) to any multitype, any other name only to one at
+    most `bounds.depth - 1` deep.  This is exact: every rule builds its
+    env as a sum of premise envs, less an opened binder, and a sum binds
+    a name as deep as its deepest summand, so a typing binds a free name
+    past the grid if and only if an axiom under it does, and a grid table
+    is the full table less those typings."""
+    return m._depth < bounds.depth or _is_opened(name)
 
 
 def _acceptable_var_multi(m: Multi, bounds: Bounds) -> bool:
@@ -878,17 +899,15 @@ def _demand_driven(sys: str, t: Term) -> bool:
 
 def _lookup(sys: str, u: Term, items, at) -> Callable[[Type], Iterable]:
     """A function from a type to the items typing u exactly at it, in
-    table order: `at(u)` for a demand-driven u, and for a variable where
-    `at` has a lookup for it, else a reader of that type over one shared
-    reader of u's items.  The shared reader files each item under its
-    type as it reads, and a reader of type ty yields ty's filed items,
-    then reads on only as far as ty's next item, so a lookup reads no
-    further into u's table than its queries need, and none of it if it
-    is never queried.  Once the shared reader is at its end, a query
-    returns the filed list itself."""
-    typed = at(u) if _demand_driven(sys, u) or isinstance(u, Var) else None
-    if typed is not None:
-        return typed
+    table order: `at(u)` for a demand-driven u or a variable, else a
+    reader of that type over one shared reader of u's items.  The shared
+    reader files each item under its type as it reads, and a reader of
+    type ty yields ty's filed items, then reads on only as far as ty's
+    next item, so a lookup reads no further into u's table than its
+    queries need, and none of it if it is never queried.  Once the shared
+    reader is at its end, a query returns the filed list itself."""
+    if _demand_driven(sys, u) or isinstance(u, Var):
+        return at(u)
     filed: defaultdict[Type, list] = defaultdict(list)
     reader: Optional[Iterator] = None  # opened on the first query
     done = False
@@ -939,11 +958,10 @@ def _rules(sys: str, t: Term, bounds: Bounds, items, at, top=math.inf
     An item is any sequence whose first two entries are an env and a
     type; premises are items of the immediate subterms.  `items(u, cap)`
     gives the items of a subterm u whose type has depth at most `cap`
-    (`items(u)`: all of them), and `at(u)`, for a demand-driven u, a
-    function from a type to the items typing u exactly at it; for a
-    variable, such a function or None, to read its items by type.  The
-    instances are produced lazily, so a consumer that looks for one
-    conclusion (`_first_derivation`) stops at the first that matches.
+    (`items(u)`: all of them), and `at(u)`, for a demand-driven u or a
+    variable, a function from a type to the items typing u exactly at
+    it.  The instances are produced lazily, so a consumer that looks for
+    one conclusion (`_first_derivation`) stops at the first that matches.
 
     The cap is pushed down into every premise the conclusion type passes
     through, so no table on that path builds a row its reader drops, as
@@ -973,9 +991,8 @@ def _rules(sys: str, t: Term, bounds: Bounds, items, at, top=math.inf
     card = bounds.card
     match t:
         case Var(x):
-            for env, ty in _var_axioms(sys, x, bounds):
-                if ty._depth <= top:
-                    yield env, ty, "var", (), None
+            for env, ty in _var_axioms(sys, x, bounds, False, top):
+                yield env, ty, "var", (), None
         case Idx():
             raise ValueError("enumeration requires a locally closed subject")
         case Abs(_, body):
@@ -1048,17 +1065,18 @@ def _arg_premises(sys: str, arg: Term, bounds: Bounds, items, at):
     return lambda m: ((a[0], (a,)) for a in lookup(m))
 
 
-def _rules_at(sys: str, t: Term, want: Type, bounds: Bounds, inner
+def _rules_at(sys: str, t: Term, want: Type, bounds: Bounds, inner, grid: bool
               ) -> Iterator[tuple[Env, Type, str, tuple, Optional[str]]]:
     """The rule instances typing a demand-driven t exactly at `want`: the
-    V var axiom at any card-bounded multiset over the universe, or the B
-    bang rule with one premise per element of `want`, drawn from
-    `inner`, a function from a type to the items typing the bang's body
-    at it."""
+    V var axiom at any card-bounded multiset over the universe (with
+    `grid`, only where _on_grid_binding allows it), or the B bang rule
+    with one premise per element of `want`, drawn from `inner`, a
+    function from a type to the items typing the bang's body at it."""
     if not isinstance(want, Multi):
         return
     if sys == V:
-        if _acceptable_var_multi(want, bounds):
+        if _acceptable_var_multi(want, bounds) and (
+                not grid or _on_grid_binding(t.name, want, bounds)):
             yield Env(((t.name, want),)), want, "var", (), None
     else:
         for env, fam in _families(inner, want, bounds.card):
@@ -1078,9 +1096,9 @@ def _table(memo: dict, sys: str, t: Term, bounds: Bounds, grid: bool = False,
     reads only the tables of strict subterms, so none re-enters itself,
     and the completion step of general tabled resolution (Tamaki and
     Sato, "OLD Resolution with Tabulation", ICLP 1986) is not needed.
-    The full table of a variable is its var axioms, `_var_axioms`, built
-    once per process, so it takes no memo entry, and a table capped below
-    1, the least depth of a type, is empty and takes none either.
+    The table of a variable is its var axioms, `_var_axioms`, built once
+    per process, so it takes no memo entry, and a table capped below 1,
+    the least depth of a type, is empty and takes none either.
 
     A capped table is the uncapped one less its rows deeper than `top`,
     in the same order: _rules reads each premise the conclusion type
@@ -1090,14 +1108,13 @@ def _table(memo: dict, sys: str, t: Term, bounds: Bounds, grid: bool = False,
     keeps nothing deeper; every other reader reads uncapped tables, so
     their rows and order do not depend on the caps.
 
-    With `grid`, the table grid_typing_set reads: only the typings whose
-    env binds no name outside _is_opened at a multitype deeper than
-    `bounds.depth - 1` (see _pruned).  Its subterms' tables are pruned
-    too, so what is dropped never reaches a rule instance above it."""
+    With `grid`, the table grid_typing_set reads: its variables take only
+    the axioms _on_grid_binding allows, so it is the full table less the
+    typings that bind a free name past `bounds.depth - 1`."""
     if top < 1:
         return iter(())
-    if not grid and isinstance(t, Var) and top == math.inf:
-        return iter(_var_axioms(sys, t.name, bounds))
+    if isinstance(t, Var):
+        return iter(_var_axioms(sys, t.name, bounds, grid, top))
     key = (sys, t, bounds, grid, top)
     start = memo.get(key)
     if start is None:
@@ -1113,15 +1130,11 @@ def _produce(memo: dict, key: tuple) -> Iterator[Pair]:
     def items(u: Term, cap=math.inf) -> Iterator[Pair]:
         return _table(memo, sys, u, bounds, grid, cap)
 
-    def at(u: Term):
-        if grid and not _demand_driven(sys, u):
-            return None  # a grid table reads a variable's grid table by type
-        return _at(memo, sys, u, bounds, grid)
-
+    at = partial(_at, memo, sys, bounds=bounds, grid=grid)
     rows = ((r[0], r[1]) for r in _rules(sys, t, bounds, items, at, top))
     seen = set()
     try:
-        for row in _pruned(rows, bounds) if grid else rows:
+        for row in rows:
             if row not in seen:
                 seen.add(row)
                 yield row
@@ -1139,15 +1152,14 @@ def _envs_at(memo: dict, sys: str, t: Term, want: Type, bounds: Bounds, grid: bo
              ) -> tuple[Pair, ...]:
     """The (env, want) typings of t, deduplicated and memoised in `memo`
     whole, as each reader reads them: from _rules_at for a demand-driven
-    t, else filtered from its table; with `grid`, from the pruned tables,
-    and pruned as they are."""
+    t, else filtered from its table."""
     key = (sys, t, want, bounds, grid)
     rows = memo.get(key)
     if rows is None:
         if _demand_driven(sys, t):
             inner = _at(memo, sys, t.inner, bounds, grid) if sys == B else None
-            found = ((r[0], r[1]) for r in _rules_at(sys, t, want, bounds, inner))
-            rows = tuple(dict.fromkeys(_pruned(found, bounds) if grid else found))
+            rows = tuple(dict.fromkeys(
+                (r[0], r[1]) for r in _rules_at(sys, t, want, bounds, inner, grid)))
         else:
             rows = tuple(p for p in _table(memo, sys, t, bounds, grid) if p[1] == want)
         memo[key] = rows
@@ -1156,11 +1168,11 @@ def _envs_at(memo: dict, sys: str, t: Term, want: Type, bounds: Bounds, grid: bo
 
 def _at(memo: dict, sys: str, u: Term, bounds: Bounds, grid: bool
         ) -> Callable[[Type], Sequence[Pair]]:
-    """A function from a type to the (env, type) typings of u at it: in
-    the full tables, one probe of `_var_axioms_at` for a variable that is
-    not demand-driven, which takes no memo entry; else `_envs_at`."""
-    if not grid and isinstance(u, Var) and not _demand_driven(sys, u):
-        rows = _var_axioms_at(sys, u.name, bounds)
+    """A function from a type to the (env, type) typings of u at it: one
+    probe of `_var_axioms_at` for a variable that is not demand-driven,
+    which takes no memo entry; else `_envs_at`."""
+    if isinstance(u, Var) and not _demand_driven(sys, u):
+        rows = _var_axioms_at(sys, u.name, bounds, grid)
         return lambda want: rows.get(want, ())
     return lambda want: _envs_at(memo, sys, u, want, bounds, grid)
 
@@ -1171,30 +1183,6 @@ def _pairs(sys: str, t: Term, bounds: Bounds, grid: bool = False, top=math.inf
     type of depth at most `top`: its process-wide table (see _table), read
     to its end."""
     return tuple(_table(_TABLES, sys, t, bounds, grid, top=top))
-
-
-def _pruned(rows: Iterator[Pair], bounds: Bounds) -> Iterator[Pair]:
-    """The rows whose env binds every name outside _is_opened at depth at
-    most `bounds.depth - 1`.  This is exact: the grid table of a root is
-    its full table less the rows dropped here, and on_grid keeps the same
-    typings of either.
-
-    - every rule builds its conclusion's env as a sum of premise envs,
-      less the binder of an abs/es node;
-    - that binder is always a name _opening makes, one this test keeps;
-    - env_sum only grows bindings and drops the empty ones;
-    - so the binding of any other name in a premise is a sub-multiset of
-      its binding in every conclusion above it, and no shallower.
-
-    So a dropped row lies under no on-grid typing of the root, and each
-    premise of a kept row is kept.  The types of subterms cannot be
-    pruned this way, since app and es drop the argument's multitype.  A
-    free name of the root that has a binder's form is kept as well,
-    which only prunes less."""
-    limit = bounds.depth - 1
-    for env, ty in rows:
-        if all(m._depth <= limit or _is_opened(n) for n, m in env.items):
-            yield env, ty
 
 
 def typing_pairs(sys: str, t: Term, bounds: Bounds = Bounds()) -> frozenset[Pair]:
@@ -1215,14 +1203,15 @@ def on_grid(pair: Pair, limit: int) -> bool:
 
 def grid_typing_set(sys: str, t: Term, bounds: Bounds = Bounds()) -> frozenset[Pair]:
     """The canonical typings of t on the grid below the depth bound, read
-    from the grid tables (`_pairs` with `grid`), which drop while they
-    are built what cannot reach the grid: the root's table is capped at
-    the grid's depth, and _rules pushes the cap down into every premise
-    the conclusion type passes through, by the depth each rule adds or
-    removes (see _rules).  The function and argument tables of app and
-    es stay uncapped, since an arrow's domain and a binder's multitype
-    may lie past the grid under an on-grid conclusion.  on_grid still
-    checks the env, since a `%k` name free at the root is never pruned."""
+    from the grid tables (`_pairs` with `grid`), whose free names take no
+    axiom past the grid (see _on_grid_binding).  The root's table is
+    capped at the grid's depth, and _rules pushes the cap down into every
+    premise the conclusion type passes through, by the depth each rule
+    adds or removes (see _rules).  The function and argument tables of
+    app and es stay uncapped, since an arrow's domain and a binder's
+    multitype may lie past the grid under an on-grid conclusion.  on_grid
+    still checks the env, since a `%k` name free at the root may take any
+    axiom."""
     limit = bounds.depth - 1
     return frozenset(canon_typing(p)
                      for p in _pairs(sys, t, bounds, True, limit) if on_grid(p, limit))
@@ -1317,7 +1306,7 @@ def _first_derivation(memo: dict, sys: str, item: tuple, bounds: Bounds) -> Deri
 
         if demanded:
             inner = _lookup(sys, u.inner, items, at) if sys == B else None
-            instances = _rules_at(sys, u, ty, bounds, inner)
+            instances = _rules_at(sys, u, ty, bounds, inner, False)
         else:
             instances = _rules(sys, u, bounds, items, at)
         scan = memo[key] = (instances, {})

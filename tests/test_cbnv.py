@@ -244,7 +244,7 @@ def test_grid_typing_sets_are_pinned():
 def test_v_grid_table_stays_small(src):
     # The full V table of each term holds 1,127,251 typings.  All but one
     # bind a free name past the grid, through the singleton arrow axioms,
-    # and the grid table drops those while it is built.
+    # which the grid table's variables never take.
     t = p(src)
     assert grid_typing_set(V, t) == grid_typing_set(B, embed(CBV, t))
     assert len(_pairs(V, t, Bounds(), True)) <= 50

@@ -6,7 +6,7 @@ import sys
 import pytest
 
 import banglab
-from banglab import inhabitation, suites, typesys
+from banglab import inhabitation, meaning, suites, typesys
 from banglab.cli import main
 from banglab.meaning import meaningful
 from banglab.syntax import parse_term
@@ -39,6 +39,13 @@ def test_deep_term_is_a_usage_error(capsys):
     for depth in (600, 1500):
         code, out, err = run(capsys, "parse", "!" * depth + "x")
         assert code == 2 and out == "" and err == "error: term nested too deeply\n"
+
+
+def test_deep_type_is_a_usage_error(capsys):
+    deep = "[" * 1200 + "a" + "]" * 1200
+    for argv in (("inhabit", "--type", deep), ("testable", "--type", "a", "--env", f"x:{deep}")):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "" and err == "error: type nested too deeply\n"
 
 
 def test_unknown_subcommand(capsys):
@@ -167,6 +174,13 @@ def test_testable(capsys):
     assert out.strip() == "yes"
     code, out, _ = run(capsys, "testable", "--type", "[a]->[a]", "--env", "x:[a]")
     assert out.strip() == "no"
+
+
+def test_failed_replay_exits_1_naming_term_and_context(capsys, monkeypatch):
+    monkeypatch.setattr(meaning, "replay", lambda ctx, t, fuel: None)
+    code, out, err = run(capsys, "meaningful", "\\z.z")
+    assert code == 1 and out == ""
+    assert err == "error: testable typing failed to replay: \\z. z in [] !!(\\z. z)\n"
 
 
 def test_meaningful(capsys):

@@ -21,7 +21,9 @@ from banglab.typesys import (Arrow, B, Bounds, Derivation, EMPTY_ENV,
                              typing_pairs,
                              type_universe, typing_transport_check, typings_enumerate,
                              untypable_certificate, _ENVS,
-                             _MULTIS, _is_opened, _opening, _pairs, _table)
+                             _MULTIS, _envs_at, _is_opened, _opening, _pairs,
+                             _table)
+from _oracles import term_size
 
 p = parse_term
 a, b = TVar("a"), TVar("b")
@@ -255,6 +257,27 @@ def test_v_grid_table_caps_abstraction_binders_only():
     assert any(env.get("%0")._depth > Bounds().depth - 1 for env, _ in rows)
 
 
+def test_grid_tables_of_variables_are_their_grid_axioms():
+    # A free name takes no axiom past the grid (depth 2 at the default
+    # bounds); a binder name, any of the 288.
+    bounds = Bounds()
+    assert _pairs(B, Var("x"), bounds, True) == tuple(
+        (Env((("x", multi(ty)),)), ty) for ty in (a, b, EMPTY_MULTI))
+    assert _pairs(B, Var("%0"), bounds, True) == _pairs(B, Var("%0"), bounds)
+    assert len(_pairs(B, Var("%0"), bounds, True)) == 288
+    # A V variable in argument position is typed at the wanted multitype,
+    # on the grid only if that binds no free name past it.
+    deep = multi(multi(a))
+    assert _envs_at({}, V, Var("x"), deep, bounds, False) == ((Env((("x", deep),)), deep),)
+    assert _envs_at({}, V, Var("x"), deep, bounds, True) == ()
+    assert _envs_at({}, V, Var("%0"), deep, bounds, True) == ((Env((("%0", deep),)), deep),)
+    # Variables' tables take no memo entry, in either scope and at any cap.
+    for sys in (B, N):
+        memo = {}
+        list(_table(memo, sys, p("\\x. y (x %0)"), bounds, True))
+        assert memo and not any(isinstance(key[1], Var) for key in memo)
+
+
 @hypothesis.given(st.integers(0, 10_000), st.integers(1, 5),
                   st.sampled_from(["raw", "bang", "cbn-image", "cbv-image"]))
 @hypothesis.settings(max_examples=40, deadline=None)
@@ -269,12 +292,16 @@ def test_capped_grid_tables_are_the_grid_tables_cut_at_the_cap():
     # whose type is at most `top` deep, in the same order, at every cap
     # from none to past the depth bound; grid_typing_set reads the grid
     # off the capped root.  The terms are those of the transfer checks
-    # (N, V and the B images of the bang-free terms) and all of B's.
+    # (N, V and the B images of the bang-free terms) and all of B's.  The
+    # grid tables of those from terms of size 4 at most are also checked
+    # against the full tables: at size 5 the full V tables reach 1.1 M rows.
     bounds = Bounds()
     limit = bounds.depth - 1
-    cases = [case for t in enum_terms(5, bang_free=True)
-             for case in ((N, t), (V, t), (B, embed(CBN, t)), (B, embed(CBV, t)))]
-    for sys, t in cases + [(B, t) for t in enum_terms(4)]:
+    cases = [(sys, u, term_size(t) <= 4) for t in enum_terms(5, bang_free=True)
+             for sys, u in ((N, t), (V, t), (B, embed(CBN, t)), (B, embed(CBV, t)))]
+    for sys, t, small in cases + [(B, t, True) for t in enum_terms(4)]:
+        if small:
+            _assert_grid_table_exact(sys, t, bounds)
         full = _pairs(sys, t, bounds, True)
         for top in range(bounds.depth + 2):
             assert _pairs(sys, t, bounds, True, top) == tuple(
