@@ -17,10 +17,15 @@ sends the term to a bang, so its replay succeeds.  Only when the
 canonical typing is not testable does the checker fall back to the
 bounded enumeration of typings (`meaningful_by_enumeration`).
 
-Negative verdicts are only produced from a clash normal form or from a
-typing-shape conflict forcing an uninhabitable multitype in every
-typing (the self-application pattern); fuel exhaustion and bound
-exhaustion stay Unknown.
+Negative verdicts are only produced from a clash normal form or from
+the shapes the typing rules force on the variables outside every bang
+(`meaningless_certificate`): when the occurrences of a free variable,
+or of a binder of the normal form's leading abstractions, demand an
+arrow and a multitype at one level of its multitype, no typing is
+testable.  That check is one linear walk and runs before any typing is
+built.  An unknown verdict names the budget that ran out: fuel, the
+MAX_TYPINGS cap of the fallback, or the type bounds (card/depth/pool)
+that end its typing stream.
 """
 
 from __future__ import annotations
@@ -32,8 +37,8 @@ from typing import Iterator, Optional, Sequence
 from . import reduction
 from .inhabitation import Testability, testable
 from .reduction import normalize
-from .syntax import (Abs, App, AppFun, AbsBody, Bang, Ctx, TESTING, Term,
-                     Var, free_vars, fresh_name, open_var, parse_term, plug,
+from .syntax import (Abs, App, AppFun, AbsBody, Bang, Ctx, Der, Idx, Sub,
+                     TESTING, Term, Var, free_vars, parse_term, plug,
                      print_term)
 from .typesys import (Arrow, B, Bounds, Derivation, Env, Type,
                       canon_typing, canonical_nf_derivation, observable,
@@ -79,25 +84,110 @@ class MeaningVerdict:
 
 
 # ---------------------------------------------------------------------------
-# Typing-shape conflicts: self-application forces an uninhabitable env
+# Forced shapes: occurrences outside every bang that no closed term can meet
+
+# A demand is the shape an occurrence's position forces on its type: an
+# arrow, a multitype (the tuple of its elements' known demands), or None
+# when the position forces nothing.
+_ARROW = "arrow"
+_LEAVE_ABS, _LEAVE_SUB = object(), object()  # climb markers of the walk
 
 
 def meaningless_certificate(nf: Term) -> Optional[str]:
-    """A reason when every typing of the (clash-free normal form) nf is
-    untestable because some variable is forced to carry both an arrow
-    and a multitype.  Conservative: only the self-application spine and
-    its abstraction closures are recognized."""
-    match nf:
-        case Abs(hint, body):
-            return meaningless_certificate(
-                open_var(body, fresh_name(hint or "x", free_vars(body))))
-        case App():
-            head, spine_args = _app_spine(nf)
-            if isinstance(head, Var) and any(a == head for a in spine_args):
-                return (f"every typing forces {head.name} to carry both an arrow "
-                        "and a multitype, which no closed term inhabits")
-            return None
+    """A reason when no typing of the clash-free normal form nf is
+    testable, read off the shapes its typing rules force; else None.
+
+    In system B every node outside a bang is the subject of exactly one
+    judgment of a derivation: the bang rule is the only one that may type
+    its body many times or none.  So in every derivation of nf each
+    occurrence of a variable outside every bang is typed by one axiom
+    x : [s] |- x : s, and the rules typing the nodes above it force the
+    shape of s: a closure's body has the closure's type; the function of
+    an application has an arrow type, its argument a multitype; `der u`
+    types u by a multitype [s'] whose one element is the type of the
+    `der`; the argument of a closure t[z<-u] has the multitype the
+    environment of t gives z, which holds the types of z's occurrences
+    in t.  Every rule sums its premises' environments, so for
+    each free variable x the environment of every typing gives x a
+    multitype holding one element of the forced shape per occurrence; and
+    for each binder of an abstraction reached from the root through
+    abstraction and closure bodies, the type of every typing has an arrow
+    whose domain does the same; arrows are not observable in B, so that
+    domain is one of the type's argument multitypes (`typesys.args`).
+
+    The walk collects these demands, with the elements the positions do
+    not fix left out, and refutes a variable's list of them by the rule
+    of `inhabitation._refute_b_elements`.  That rule only grows stronger
+    as elements are added or made more precise, so it refutes every
+    multitype that meets the demands: no closed term inhabits it.  Then
+    no typing of nf has an inhabited environment and inhabited argument
+    multitypes, so none is testable, and by the characterization (a term
+    is meaningful iff its normal form has a testable typing) the term is
+    meaningless.
+
+    One walk with its own stack, so any depth of nf is safe.  A binder's
+    demands are kept on `binders` while its body is walked, so an index
+    finds its binder by position.  Below the body it pushes a climb
+    marker that carries, in the demand's place, the abstraction's hint or
+    the closure's argument: the closure's argument is walked after its
+    body, under the demand its binder collected there."""
+    free: dict[str, list] = {}
+    binders: list[list] = []
+    todo: list = [(nf, None, True)]  # (node, its demand, on the root's spine)
+    while todo:
+        u, demand, top = todo.pop()
+        kind = type(u)
+        if kind is Var:
+            if demand is not None:
+                free.setdefault(u.name, []).append(demand)
+        elif kind is Idx:
+            if demand is not None:
+                binders[-1 - u.k].append(demand)
+        elif kind is App:
+            todo.append((u.arg, (), False))
+            todo.append((u.fun, _ARROW, False))
+        elif kind is Der:
+            todo.append((u.inner, () if demand is None else (demand,), False))
+        elif kind is Abs:
+            binders.append([])
+            todo.append((_LEAVE_ABS, u.hint, top))
+            todo.append((u.body, None, top))
+        elif kind is Sub:
+            binders.append([])
+            todo.append((_LEAVE_SUB, u.arg, None))
+            todo.append((u.body, demand, top))
+        elif u is _LEAVE_SUB:
+            todo.append((demand, tuple(binders.pop()), False))
+        elif u is _LEAVE_ABS:
+            demands = binders.pop()
+            level = _refuted(demands) if top else None
+            if level is not None:
+                return _conflict(demand or "x", level)
+        # a bang's body may be typed any number of times: it forces nothing
+    for name in sorted(free):
+        level = _refuted(free[name])
+        if level is not None:
+            return _conflict(name, level)
     return None
+
+
+def _refuted(demands: list) -> Optional[int]:
+    """How many multitypes deep the rule of
+    `inhabitation._refute_b_elements` refutes the demands, or None."""
+    level = 0
+    while demands:
+        multis = [d for d in demands if d is not _ARROW]
+        if len(multis) < len(demands):
+            return level if multis else None
+        demands = [e for m in multis for e in m]
+        level += 1
+    return None
+
+
+def _conflict(name: str, level: int) -> str:
+    nested = f" at nesting level {level}" if level else ""
+    return (f"every typing forces {name} to carry both an arrow and a "
+            f"multitype{nested}, which no closed term inhabits")
 
 
 def _app_spine(t: Term) -> tuple[Term, list[Term]]:
@@ -167,7 +257,8 @@ class ReplayFailure(RuntimeError):
 
 def meaningful(t: Term, budgets: Budgets = Budgets()) -> MeaningVerdict:
     """The verdict on t.  A divergent term stays unknown, a clash normal
-    form or a forced-shape certificate is meaningless.  Otherwise the
+    form or a normal form whose forced shapes no closed term meets
+    (meaningless_certificate) is meaningless.  Otherwise the
     canonical typing of the normal form (canonical_nf_derivation) is
     tried first: any testable typing of the normal form makes t
     meaningful, by the characterization, so the context it induces
@@ -205,12 +296,14 @@ def meaningful_by_enumeration(t: Term, nf: Term, budgets: Budgets) -> MeaningVer
             continue
         seen.add(pair)
         if len(seen) > MAX_TYPINGS:
-            break
+            return MeaningVerdict(
+                UNKNOWN, reason=f"max_typings exhausted: no testable typing among "
+                f"the first {MAX_TYPINGS} distinct typings", normal_form=nf)
         ta = testable(B, typing, budgets.type_bounds)
         if ta.verdict == "yes":
             return _replayed(t, nf, typing, ta, derivation(), budgets)
-    return MeaningVerdict(UNKNOWN, reason="no testable typing within bounds",
-                          normal_form=nf)
+    return MeaningVerdict(UNKNOWN, reason="type bounds exhausted: no testable "
+                          "typing within card/depth/pool", normal_form=nf)
 
 
 def _replayed(t: Term, nf: Term, typing: tuple[Env, Type], ta: Testability,

@@ -12,7 +12,7 @@ from banglab.meaning import (Budgets, ReplayFailure, build_testing_context,
                              meaningless_certificate, replay,
                              search_testing_context)
 from banglab.meaning import testing_contexts as enum_testing_contexts
-from banglab.syntax import (Abs, App, Bang, OMEGA, Var, enum_terms, gen_term,
+from banglab.syntax import (Abs, App, Bang, Der, OMEGA, Var, enum_terms, gen_term,
                             parse_context, parse_term, plug, print_term)
 from banglab.typesys import (Arrow, B, EMPTY_ENV, EMPTY_MULTI, Env, TVar,
                              canonical_nf_derivation, check_derivation, multi,
@@ -38,8 +38,8 @@ def test_corpus_verdicts():
 # sha256 of meaningful()'s status, reason and evidence (context frames,
 # typing, derivation) at the default budgets, for gen_term seeds 0-3,
 # sizes 3-12 and the four profiles, in that order.  It pins the verdicts
-# and witnesses: 128 meaningful, 26 meaningless, 6 unknown.
-VERDICTS_DIGEST = "75dd4c9026aba4fad27948740bc0b8660e72fa3e3a4a8a44f335fbf3961e176a"
+# and witnesses: 128 meaningful, 31 meaningless, 1 unknown.
+VERDICTS_DIGEST = "a272db2d6a82397f912e689db3fd123fa1e4df23b8bbc0a1b72179f9ece2c53a"
 
 
 def test_verdicts_and_evidence_are_pinned():
@@ -77,13 +77,52 @@ def test_meaningful_evidence_replays():
 
 
 def test_meaningless_certificate():
-    assert meaningless_certificate(p("x x"))
-    assert meaningless_certificate(p("\\x.x x"))
-    assert meaningless_certificate(p("\\y.\\x.x x"))
-    assert meaningless_certificate(p("x x y"))
-    assert meaningless_certificate(p("\\z.x x")) is not None
-    assert meaningless_certificate(p("x !x")) is None
-    assert meaningless_certificate(p("x y")) is None
+    for s in ["x x", "\\x.x x", "\\y.\\x.x x", "x x y", "\\z.x x",
+              "y der y", "y y[s0<-x]", "x der x",
+              "der x der x",               # an arrow and a multitype one level in
+              "der (s0 (y s0))[s0<-x]"]:   # the closure passes s0's demands to x
+        assert meaningless_certificate(p(s)) is not None, s
+    assert "nesting level 1" in meaningless_certificate(p("der x der x"))
+    for s in ["x !x", "x y", "(der x)[s0<-x]", "der der der x x y",
+              "x[s0<-y] s0[s0<-y]"]:
+        assert meaningless_certificate(p(s)) is None, s
+    # the walk keeps its own stack
+    t = p("x x")
+    for _ in range(10_000):
+        t = Abs("y", t)
+    assert meaningless_certificate(t) is not None
+    chain = Var("x")
+    for _ in range(10_000):
+        chain = Der(chain)
+    assert meaningless_certificate(chain) is None
+    assert "nesting level 10000" in meaningless_certificate(App(chain, chain))
+
+
+def test_refuted_normal_forms_have_no_testing_context():
+    # the certificate's meaningless verdicts are neither found meaningful by
+    # the enumeration route nor sent to a bang by a pooled testing context
+    budgets = Budgets(fuel=120)
+    refuted = 0
+    for t in enum_terms(5):
+        out = reduction.normalize(t, reduction.SURFACE, budgets.fuel)
+        if not (out.normalized and reduction.classify(out.term).in_no_s):
+            continue
+        if meaningless_certificate(out.term) is None:
+            continue
+        refuted += 1
+        v = meaningful_by_enumeration(t, out.term, budgets)
+        assert v.status == "unknown", print_term(t)
+        assert search_testing_context(t, depth=2, fuel=150) is None, print_term(t)
+    assert refuted == 75
+
+
+def test_the_fallback_names_the_budget_that_ran_out(monkeypatch):
+    t = p("(der der x)[s0<-y[s0<-x]]")  # two distinct typings, neither testable
+    v = meaningful(t, BUD)
+    assert v.status == "unknown" and v.reason.startswith("type bounds exhausted")
+    monkeypatch.setattr(meaning, "MAX_TYPINGS", 1)
+    v = meaningful(t, BUD)
+    assert v.status == "unknown" and v.reason.startswith("max_typings exhausted")
 
 
 def test_build_testing_context_requires_witnesses():
